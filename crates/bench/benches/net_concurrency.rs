@@ -1,8 +1,8 @@
 //! Connection-scale bench: can one server core hold 1k+ concurrent
 //! sockets and still move requests?
 //!
-//! The thread-per-connection v1 server capped out at `max_conns` OS
-//! threads; the v2 shard-per-core event loop holds each connection as a
+//! A thread-per-connection server would cap out at `max_conns` OS
+//! threads; the shard-per-core event loop holds each connection as a
 //! small state machine instead. This bench opens `THREADS × CONNS_PER`
 //! raw v2 connections (default 16 × 64 = 1024) against one `NetServer`,
 //! then drives pipelined lookups across *every* connection for a fixed

@@ -119,12 +119,22 @@ fn bench_hdns_list(c: &mut Criterion) {
         realm.create_context(0, "small").unwrap();
         for i in 0..n {
             realm
-                .rebind(0, &format!("bulk/leaf-{i}"), hdns::HdnsEntry::leaf(vec![0]))
+                .rebind(
+                    0,
+                    &format!("bulk/leaf-{i}"),
+                    hdns::HdnsEntry::leaf(vec![0]),
+                    None,
+                )
                 .unwrap();
         }
         for j in 0..10 {
             realm
-                .rebind(0, &format!("small/x-{j}"), hdns::HdnsEntry::leaf(vec![0]))
+                .rebind(
+                    0,
+                    &format!("small/x-{j}"),
+                    hdns::HdnsEntry::leaf(vec![0]),
+                    None,
+                )
                 .unwrap();
         }
         // Listing the 10-entry subdir: a prefix range scan, so cost tracks

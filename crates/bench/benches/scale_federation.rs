@@ -44,7 +44,7 @@ fn read_point(replicas: usize, clients: usize) -> f64 {
         5,
     );
     realm
-        .rebind(0, "bench", hdns::HdnsEntry::leaf(vec![0; 64]))
+        .rebind(0, "bench", hdns::HdnsEntry::leaf(vec![0; 64]), None)
         .expect("seed");
     let ops: Vec<Rc<RoundTrips>> = (0..replicas)
         .map(|node| {
@@ -107,7 +107,7 @@ fn write_point(replicas: usize, clients: usize) -> f64 {
         .with_work(
             Rc::new(move |_| {
                 realm
-                    .rebind(0, "bench", hdns::HdnsEntry::leaf(vec![0; 64]))
+                    .rebind(0, "bench", hdns::HdnsEntry::leaf(vec![0; 64]), None)
                     .expect("replicated rebind");
             }),
             64,

@@ -83,7 +83,7 @@ fn bench_jini_writes(c: &mut Criterion) {
 fn bench_hdns(c: &mut Criterion) {
     let realm = hdns::HdnsRealm::new("bench", 2, groupcast::StackConfig::default(), None, 5);
     realm
-        .rebind(0, "bench", hdns::HdnsEntry::leaf(vec![0; 64]))
+        .rebind(0, "bench", hdns::HdnsEntry::leaf(vec![0; 64]), None)
         .unwrap();
     let ctx = HdnsProviderContext::new(realm.clone(), 0, "bench");
 

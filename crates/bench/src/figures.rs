@@ -279,7 +279,7 @@ pub fn fig4(config: &SweepConfig) -> Vec<Series> {
     let raw = sweep("hdns", config, |sim, rng, _| {
         let realm = hdns_realm();
         realm
-            .rebind(0, "bench", hdns::HdnsEntry::leaf(vec![0; 64]))
+            .rebind(0, "bench", hdns::HdnsEntry::leaf(vec![0; 64]), None)
             .expect("seed");
         let op = RoundTrips::new(
             QueueingServer::new(sim, ServerConfig::default()),
@@ -349,7 +349,7 @@ pub fn fig5(config: &SweepConfig, bounded: bool) -> Vec<Series> {
                 // Real replicated write, sampled: each one drives the full
                 // groupcast pipeline across both replicas.
                 realm
-                    .rebind(0, "bench", hdns::HdnsEntry::leaf(vec![0; 64]))
+                    .rebind(0, "bench", hdns::HdnsEntry::leaf(vec![0; 64]), None)
                     .expect("rebind");
             }),
             64,
@@ -628,6 +628,7 @@ fn federation_deployment_with_env(env: Environment) -> FederationDeployment {
                 rndi_core::value::StoredValue::Reference(Reference::url("ldap://dept-ldap/ou=dcl"))
                     .encode(),
             ),
+            None,
         )
         .expect("bind ldap link");
 

@@ -913,8 +913,6 @@ impl ObsInterceptor {
             };
             [mk("ok"), mk("err"), mk("continue")]
         });
-        // Calibrate the span clock at assembly time, not on the first op.
-        rndi_obs::clock::init();
         ObsInterceptor {
             provider: Arc::from(provider),
             position,
@@ -938,9 +936,9 @@ impl Interceptor for ObsInterceptor {
         // caller's view on exit) — re-annotation must not clone the op.
         let saved = op.trace.get();
         op.trace.set(&ctx);
-        let start = rndi_obs::clock::now_ns();
+        let start = Instant::now();
         let result = next.invoke(op);
-        let took = Duration::from_nanos(rndi_obs::clock::now_ns().saturating_sub(start));
+        let took = start.elapsed();
         op.trace.restore(saved);
         let (slot, outcome) = match &result {
             Ok(_) => (0, SpanOutcome::Ok),

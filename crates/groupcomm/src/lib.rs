@@ -41,7 +41,6 @@ pub mod cluster;
 pub mod config;
 pub mod member;
 pub mod protocols;
-pub mod transport;
 pub mod view;
 pub mod wire;
 
@@ -50,6 +49,5 @@ pub use channel::{ChannelEvent, GroupChannel, SendError};
 pub use cluster::Cluster;
 pub use config::{OrderingMode, StackConfig};
 pub use member::{MemberCore, Outgoing};
-pub use transport::GroupTransport;
 pub use view::{View, ViewId};
 pub use wire::Wire;

@@ -51,7 +51,7 @@ impl std::error::Error for RealmError {}
 /// use hdns::{HdnsEntry, HdnsRealm};
 ///
 /// let realm = HdnsRealm::new("docs", 2, StackConfig::default(), None, 1);
-/// realm.bind(0, "svc", HdnsEntry::leaf(b"hello".to_vec())).unwrap();
+/// realm.bind(0, "svc", HdnsEntry::leaf(b"hello".to_vec()), None).unwrap();
 /// // Reads are replica-local: the other node already has it.
 /// assert_eq!(realm.lookup(1, "svc").unwrap().value, b"hello");
 /// ```
@@ -153,34 +153,6 @@ impl HdnsRealm {
         self.cluster.stable_round();
     }
 
-    /// Detach an inbound trace frame (if any) from a bind payload: the
-    /// client's context comes back so the server-side span links into its
-    /// trace, and the stored bytes end up identical to what an untraced
-    /// client would have written.
-    fn strip_trace(op: Op) -> (Op, Option<TraceCtx>) {
-        match op {
-            Op::Bind {
-                path,
-                mut entry,
-                overwrite,
-            } => {
-                let (ctx, payload) = rndi_obs::frame::strip(&entry.value);
-                if ctx.is_some() {
-                    entry.value = payload.to_vec();
-                }
-                (
-                    Op::Bind {
-                        path,
-                        entry,
-                        overwrite,
-                    },
-                    ctx,
-                )
-            }
-            other => (other, None),
-        }
-    }
-
     fn op_label(op: &Op) -> &'static str {
         match op {
             Op::Bind {
@@ -196,8 +168,10 @@ impl HdnsRealm {
         }
     }
 
-    fn write(&self, node: usize, op: Op) -> Result<(), RealmError> {
-        let (op, trace) = Self::strip_trace(op);
+    /// Submit a write via replica `node`. With the client's `trace`
+    /// context the realm records a `"server"` span as its child; the
+    /// stored bytes are the same either way.
+    fn write(&self, node: usize, op: Op, trace: Option<TraceCtx>) -> Result<(), RealmError> {
         let label = Self::op_label(&op);
         let start = Instant::now();
         let result = self.write_inner(node, op);
@@ -208,8 +182,8 @@ impl HdnsRealm {
             &[("server", &server), ("op", label)],
         )
         .record_duration(start.elapsed());
-        // A span is emitted only when the client shipped a trace frame —
-        // it becomes a child of the client-side span that wrapped it.
+        // A span is emitted only for a traced write — it becomes a child
+        // of the client-side span that issued it.
         if let Some(client_ctx) = trace {
             rndi_obs::trace::record(SpanRecord::new(
                 &client_ctx.child(),
@@ -249,8 +223,15 @@ impl HdnsRealm {
         }
     }
 
-    /// Atomic bind via replica `node`.
-    pub fn bind(&self, node: usize, path: &str, entry: HdnsEntry) -> Result<(), RealmError> {
+    /// Atomic bind via replica `node`. `trace` is the client span's
+    /// context, if the write is traced.
+    pub fn bind(
+        &self,
+        node: usize,
+        path: &str,
+        entry: HdnsEntry,
+        trace: Option<TraceCtx>,
+    ) -> Result<(), RealmError> {
         self.write(
             node,
             Op::Bind {
@@ -258,11 +239,19 @@ impl HdnsRealm {
                 entry,
                 overwrite: false,
             },
+            trace,
         )
     }
 
-    /// Rebind (overwrite) via replica `node`.
-    pub fn rebind(&self, node: usize, path: &str, entry: HdnsEntry) -> Result<(), RealmError> {
+    /// Rebind (overwrite) via replica `node`; `trace` as for
+    /// [`HdnsRealm::bind`].
+    pub fn rebind(
+        &self,
+        node: usize,
+        path: &str,
+        entry: HdnsEntry,
+        trace: Option<TraceCtx>,
+    ) -> Result<(), RealmError> {
         self.write(
             node,
             Op::Bind {
@@ -270,6 +259,7 @@ impl HdnsRealm {
                 entry,
                 overwrite: true,
             },
+            trace,
         )
     }
 
@@ -279,6 +269,7 @@ impl HdnsRealm {
             Op::Unbind {
                 path: path.to_string(),
             },
+            None,
         )
     }
 
@@ -289,6 +280,7 @@ impl HdnsRealm {
                 from: from.to_string(),
                 to: to.to_string(),
             },
+            None,
         )
     }
 
@@ -298,6 +290,7 @@ impl HdnsRealm {
             Op::CreateContext {
                 path: path.to_string(),
             },
+            None,
         )
     }
 
@@ -313,6 +306,7 @@ impl HdnsRealm {
                 path: path.to_string(),
                 attrs,
             },
+            None,
         )
     }
 
@@ -450,7 +444,7 @@ mod tests {
     #[test]
     fn reads_from_any_replica() {
         let r = realm(3);
-        r.bind(0, "svc", HdnsEntry::leaf(vec![1])).unwrap();
+        r.bind(0, "svc", HdnsEntry::leaf(vec![1]), None).unwrap();
         for i in 0..3 {
             assert_eq!(r.lookup(i, "svc").unwrap().value, vec![1], "replica {i}");
         }
@@ -459,23 +453,23 @@ mod tests {
     #[test]
     fn atomic_bind_conflict_detected() {
         let r = realm(2);
-        r.bind(0, "k", HdnsEntry::leaf(vec![1])).unwrap();
+        r.bind(0, "k", HdnsEntry::leaf(vec![1]), None).unwrap();
         assert_eq!(
-            r.bind(1, "k", HdnsEntry::leaf(vec![2])),
+            r.bind(1, "k", HdnsEntry::leaf(vec![2]), None),
             Err(RealmError::Store(HdnsError::AlreadyBound("k".into())))
         );
-        r.rebind(1, "k", HdnsEntry::leaf(vec![2])).unwrap();
+        r.rebind(1, "k", HdnsEntry::leaf(vec![2]), None).unwrap();
         assert_eq!(r.lookup(0, "k").unwrap().value, vec![2]);
     }
 
     #[test]
     fn crash_and_restart_recovers_via_state_transfer() {
         let r = realm(3);
-        r.bind(0, "before", HdnsEntry::leaf(vec![1])).unwrap();
+        r.bind(0, "before", HdnsEntry::leaf(vec![1]), None).unwrap();
         r.crash(2);
         assert!(!r.is_alive(2));
         // Writes continue on the surviving majority.
-        r.bind(0, "during", HdnsEntry::leaf(vec![2])).unwrap();
+        r.bind(0, "during", HdnsEntry::leaf(vec![2]), None).unwrap();
         r.restart(2);
         assert!(r.is_alive(2));
         assert_eq!(r.lookup(2, "before").unwrap().value, vec![1]);
@@ -485,13 +479,13 @@ mod tests {
     #[test]
     fn partition_then_primary_partition_resync() {
         let r = realm(3);
-        r.bind(0, "base", HdnsEntry::leaf(vec![0])).unwrap();
+        r.bind(0, "base", HdnsEntry::leaf(vec![0]), None).unwrap();
         // Isolate replica 2; both sides keep serving.
         r.partition(&[&[0, 1], &[2]]);
-        r.bind(0, "majority-write", HdnsEntry::leaf(vec![1]))
+        r.bind(0, "majority-write", HdnsEntry::leaf(vec![1]), None)
             .unwrap();
         // The minority side also accepts a (divergent) write.
-        r.bind(2, "minority-write", HdnsEntry::leaf(vec![9]))
+        r.bind(2, "minority-write", HdnsEntry::leaf(vec![9]), None)
             .unwrap();
         assert!(r.lookup(0, "minority-write").is_none());
 
@@ -527,7 +521,7 @@ mod tests {
             42,
         );
         for i in 0..10u8 {
-            r.rebind(0, &format!("k{i}"), HdnsEntry::leaf(vec![i]))
+            r.rebind(0, &format!("k{i}"), HdnsEntry::leaf(vec![i]), None)
                 .unwrap();
         }
         for node in 0..3 {
@@ -547,7 +541,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         {
             let r = HdnsRealm::new("p", 1, StackConfig::default(), Some(dir.clone()), 1);
-            r.bind(0, "durable", HdnsEntry::leaf(vec![7])).unwrap();
+            r.bind(0, "durable", HdnsEntry::leaf(vec![7]), None)
+                .unwrap();
             r.shutdown_replica(0);
         }
         // A brand-new realm over the same data dir: complete-shutdown
@@ -560,7 +555,8 @@ mod tests {
     #[test]
     fn dynamic_replica_deployment() {
         let r = realm(2);
-        r.bind(0, "pre-existing", HdnsEntry::leaf(vec![1])).unwrap();
+        r.bind(0, "pre-existing", HdnsEntry::leaf(vec![1]), None)
+            .unwrap();
         // Scale out while in operation.
         let idx = r.add_replica();
         assert_eq!(idx, 2);
@@ -571,7 +567,7 @@ mod tests {
             "newcomer received state transfer"
         );
         // The newcomer is a full citizen: it can accept writes.
-        r.bind(idx, "from-newcomer", HdnsEntry::leaf(vec![2]))
+        r.bind(idx, "from-newcomer", HdnsEntry::leaf(vec![2]), None)
             .unwrap();
         assert_eq!(r.lookup(0, "from-newcomer").unwrap().value, vec![2]);
     }
@@ -583,7 +579,8 @@ mod tests {
         // Submit a write but *don't* rely on the write path's inline drive
         // for event delivery at the other replica: just wait for the
         // background driver to ferry the events.
-        r.bind(0, "watched", HdnsEntry::leaf(vec![1])).unwrap();
+        r.bind(0, "watched", HdnsEntry::leaf(vec![1]), None)
+            .unwrap();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
         loop {
             let events = r.take_events(1);
@@ -606,8 +603,8 @@ mod tests {
     fn listing_and_contexts() {
         let r = realm(2);
         r.create_context(0, "dept").unwrap();
-        r.bind(0, "dept/a", HdnsEntry::leaf(vec![1])).unwrap();
-        r.bind(1, "dept/b", HdnsEntry::leaf(vec![2])).unwrap();
+        r.bind(0, "dept/a", HdnsEntry::leaf(vec![1]), None).unwrap();
+        r.bind(1, "dept/b", HdnsEntry::leaf(vec![2]), None).unwrap();
         let mut names: Vec<String> = r.list(1, "dept").into_iter().map(|(n, _)| n).collect();
         names.sort();
         assert_eq!(names, vec!["a", "b"]);

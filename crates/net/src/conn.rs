@@ -2,7 +2,7 @@
 //!
 //! Everything in this module operates on byte slices in and byte buffers
 //! out — no sockets, no threads, no clocks — which is what makes the
-//! protocol's trickiest behaviour (version negotiation, pipelined
+//! protocol's trickiest behaviour (preamble negotiation, pipelined
 //! request-ID bookkeeping, partial frames split at arbitrary byte
 //! boundaries) unit-testable without IO. The readiness loops in
 //! [`crate::server`] and [`crate::client`] are thin drivers: they feed
@@ -17,8 +17,8 @@ use rndi_core::error::{NamingError, Result};
 use rndi_obs::TraceCtx;
 
 use crate::proto::{
-    self, AdminReply, AdminRequest, Envelope, EnvelopeBody, GossipReply, GossipRequest, Negotiated,
-    WireError, WireOp, WireOutcome,
+    self, AdminReply, AdminRequest, Envelope, EnvelopeBody, GossipReply, GossipRequest, WireError,
+    WireOp, WireOutcome,
 };
 
 /// An incremental length-prefixed frame reassembler. Bytes go in at
@@ -90,9 +90,7 @@ impl FrameBuf {
 }
 
 /// One decoded client→server message, tagged with the request ID the
-/// response must echo. v1 connections synthesize sequential IDs — v1
-/// responses are matched by order, not ID, so the value only has to be
-/// locally unique for deadline bookkeeping.
+/// response must echo.
 #[derive(Debug)]
 pub struct Inbound {
     pub req_id: u64,
@@ -106,13 +104,12 @@ pub enum InboundMsg {
     Call {
         op: Box<WireOp>,
         deadline_ms: u64,
-        /// Transport-level trace context (v1: the `%RNDI-TRACE:` payload
-        /// header; v2: the envelope's trace field).
+        /// Transport-level trace context: the envelope's trace field.
         trace: Option<TraceCtx>,
     },
-    /// A telemetry scrape (v2 only — v1 has no admin vocabulary).
+    /// A telemetry scrape.
     Admin(AdminRequest),
-    /// A cluster membership exchange (v2 only, like admin).
+    /// A cluster membership exchange.
     Gossip(GossipRequest),
     /// The frame was self-delimiting but its payload did not decode; the
     /// server answers this error instead of dropping the connection.
@@ -129,18 +126,12 @@ pub enum ResponseBody {
     Gossip(GossipReply),
 }
 
-enum ServerProto {
-    /// Waiting for the first four bytes to classify the connection.
-    Negotiating,
-    V1,
-    V2,
-}
-
-/// Server-side per-connection state machine: negotiates the protocol
-/// version from the first bytes, reassembles frames, decodes requests,
-/// and encodes responses into an output buffer the IO layer drains.
+/// Server-side per-connection state machine: checks the connect
+/// preamble, reassembles frames, decodes requests, and encodes responses
+/// into an output buffer the IO layer drains.
 pub struct ServerConn {
-    proto: ServerProto,
+    /// Whether the connect preamble has been checked and acknowledged.
+    negotiated: bool,
     frames: FrameBuf,
     outbuf: Vec<u8>,
     /// Bytes of `outbuf` already written to the socket.
@@ -156,97 +147,58 @@ impl Default for ServerConn {
 impl ServerConn {
     pub fn new() -> Self {
         ServerConn {
-            proto: ServerProto::Negotiating,
+            negotiated: false,
             frames: FrameBuf::new(),
             outbuf: Vec::new(),
             out_pos: 0,
         }
     }
 
-    /// The negotiated protocol version, once known.
-    pub fn version(&self) -> Option<u32> {
-        match self.proto {
-            ServerProto::Negotiating => None,
-            ServerProto::V1 => Some(proto::PROTOCOL_V1),
-            ServerProto::V2 => Some(proto::PROTOCOL_V2),
-        }
-    }
-
     /// Feed transport bytes in; get fully-decoded requests out. An `Err`
-    /// means the connection is unrecoverable (unsupported version,
-    /// corrupt framing) and must be closed.
+    /// means the connection is unrecoverable (a first four bytes other
+    /// than [`proto::PREAMBLE_V2`], corrupt framing) and must be closed.
     pub fn receive(&mut self, bytes: &[u8]) -> Result<Vec<Inbound>> {
         self.frames.push(bytes);
-        if matches!(self.proto, ServerProto::Negotiating) {
+        if !self.negotiated {
             if self.frames.pending() < 4 {
                 return Ok(Vec::new());
             }
             let first4: [u8; 4] = self.frames.peek()[..4].try_into().unwrap();
-            match proto::negotiate(&first4) {
-                Negotiated::V2 => {
-                    // Consume the preamble and acknowledge it so the
-                    // client knows the server speaks v2.
-                    self.frames.consume(4);
-                    self.outbuf.extend_from_slice(&proto::PREAMBLE_V2);
-                    self.proto = ServerProto::V2;
-                }
-                Negotiated::V1 => {
-                    // No preamble: the four bytes are the first frame's
-                    // length prefix. Leave them buffered.
-                    self.proto = ServerProto::V1;
-                }
-                Negotiated::Unsupported(v) => {
-                    return Err(NamingError::service(format!(
-                        "unsupported protocol version {v}"
-                    )));
-                }
+            if first4 != proto::PREAMBLE_V2 {
+                return Err(NamingError::service(format!(
+                    "unsupported protocol preamble {first4:02x?}"
+                )));
             }
+            // Consume the preamble and acknowledge it so the client knows
+            // the server speaks v2.
+            self.frames.consume(4);
+            self.outbuf.extend_from_slice(&proto::PREAMBLE_V2);
+            self.negotiated = true;
         }
         let mut inbound = Vec::new();
         while let Some(frame) = self.frames.next_frame()? {
-            inbound.push(match self.proto {
-                ServerProto::V1 => decode_v1_request(&frame),
-                ServerProto::V2 => decode_v2_request(&frame)?,
-                ServerProto::Negotiating => unreachable!("negotiated above"),
-            });
+            inbound.push(decode_request(&frame)?);
         }
         Ok(inbound)
     }
 
-    /// Queue the response for `req_id` in the connection's wire format.
-    /// v1 ignores the ID (responses are matched by order); v2 echoes it.
+    /// Queue the response for `req_id`, echoing the ID.
     pub fn push_response(&mut self, req_id: u64, body: ResponseBody) -> Result<()> {
-        let payload = match self.proto {
-            ServerProto::V1 => proto::encode_message(&match body {
-                ResponseBody::Pong => proto::Response::Pong,
-                ResponseBody::Ok(out) => proto::Response::Ok(out),
-                ResponseBody::Err(err) => proto::Response::Err(err),
-                // Unreachable in practice: v1 cannot express an admin
-                // request, so no handler ever produces this on v1.
-                ResponseBody::Admin(_) => {
-                    return Err(NamingError::service("admin replies require protocol v2"))
-                }
-                // Same story: gossip is a v2-only vocabulary.
-                ResponseBody::Gossip(_) => {
-                    return Err(NamingError::service("gossip replies require protocol v2"))
-                }
-            })?,
-            ServerProto::V2 => proto::bin::encode_envelope(&Envelope {
-                req_id,
-                body: match body {
-                    ResponseBody::Pong => EnvelopeBody::Pong,
-                    ResponseBody::Ok(out) => EnvelopeBody::Ok(out),
-                    ResponseBody::Err(err) => EnvelopeBody::Err(err),
-                    ResponseBody::Admin(reply) => EnvelopeBody::AdminOk(reply),
-                    ResponseBody::Gossip(reply) => EnvelopeBody::GossipOk(reply),
-                },
-            })?,
-            ServerProto::Negotiating => {
-                return Err(NamingError::service(
-                    "response queued before version negotiation",
-                ))
-            }
-        };
+        if !self.negotiated {
+            return Err(NamingError::service(
+                "response queued before version negotiation",
+            ));
+        }
+        let payload = proto::bin::encode_envelope(&Envelope {
+            req_id,
+            body: match body {
+                ResponseBody::Pong => EnvelopeBody::Pong,
+                ResponseBody::Ok(out) => EnvelopeBody::Ok(out),
+                ResponseBody::Err(err) => EnvelopeBody::Err(err),
+                ResponseBody::Admin(reply) => EnvelopeBody::AdminOk(reply),
+                ResponseBody::Gossip(reply) => EnvelopeBody::GossipOk(reply),
+            },
+        })?;
         self.outbuf
             .extend_from_slice(&(payload.len() as u32).to_be_bytes());
         self.outbuf.extend_from_slice(&payload);
@@ -278,24 +230,7 @@ impl ServerConn {
     }
 }
 
-fn decode_v1_request(frame: &[u8]) -> Inbound {
-    let (frame_ctx, payload) = rndi_obs::frame::strip(frame);
-    let msg = match proto::decode_request(payload) {
-        Ok(proto::Request::Ping) => InboundMsg::Ping,
-        Ok(proto::Request::Call {
-            op, deadline_ms, ..
-        }) => InboundMsg::Call {
-            op,
-            deadline_ms,
-            trace: frame_ctx,
-        },
-        Err(e) => InboundMsg::Malformed(e),
-    };
-    // v1 responses are matched by order; the ID is only a local handle.
-    Inbound { req_id: 0, msg }
-}
-
-fn decode_v2_request(frame: &[u8]) -> Result<Inbound> {
+fn decode_request(frame: &[u8]) -> Result<Inbound> {
     match proto::bin::decode_envelope(frame) {
         Ok(Envelope { req_id, body }) => {
             let msg = match body {
@@ -418,8 +353,7 @@ impl ClientDecoder {
             let first4: [u8; 4] = self.frames.peek()[..4].try_into().unwrap();
             if first4 != proto::PREAMBLE_V2 {
                 return Err(NamingError::service(
-                    "server did not acknowledge protocol v2 (v1-only server? \
-                     set rndi.net.proto.version=1)",
+                    "server did not acknowledge protocol v2",
                 ));
             }
             self.frames.consume(4);
@@ -475,11 +409,15 @@ mod tests {
     use super::*;
     use rndi_core::op::NamingOp;
 
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut out = (payload.len() as u32).to_be_bytes().to_vec();
+        out.extend_from_slice(payload);
+        out
+    }
+
     #[test]
     fn framebuf_reassembles_byte_by_byte() {
-        let mut framed = Vec::new();
-        proto::write_frame(&mut framed, b"hello").unwrap();
-        proto::write_frame(&mut framed, b"world!").unwrap();
+        let framed = [framed(b"hello"), framed(b"world!")].concat();
         let mut fb = FrameBuf::new();
         let mut got = Vec::new();
         for b in &framed {
@@ -511,7 +449,7 @@ mod tests {
             })
             .unwrap();
         let inbound = server.receive(&bytes).unwrap();
-        assert_eq!(server.version(), Some(proto::PROTOCOL_V2));
+        assert!(server.pending_out().starts_with(&proto::PREAMBLE_V2));
         assert_eq!(inbound.len(), 1);
         assert!(matches!(inbound[0].msg, InboundMsg::Ping));
         server
@@ -524,33 +462,21 @@ mod tests {
     }
 
     #[test]
-    fn server_negotiates_v1_from_bare_frames() {
+    fn server_closes_on_bare_frame() {
         let mut server = ServerConn::new();
-        let mut framed = Vec::new();
-        let ping = proto::encode_message(&proto::Request::Ping).unwrap();
-        proto::write_frame(&mut framed, &ping).unwrap();
+        let frame = framed(b"{}");
         // Split delivery across the negotiation boundary.
-        let inbound = server.receive(&framed[..3]).unwrap();
-        assert!(inbound.is_empty());
-        assert_eq!(server.version(), None);
-        let inbound = server.receive(&framed[3..]).unwrap();
-        assert_eq!(server.version(), Some(proto::PROTOCOL_V1));
-        assert!(matches!(inbound[0].msg, InboundMsg::Ping));
-        server.push_response(0, ResponseBody::Pong).unwrap();
-        // v1 responses carry no preamble ack.
-        let out = server.pending_out().to_vec();
-        let frame = proto::read_frame(&mut &out[..]).unwrap();
-        assert!(matches!(
-            proto::decode_response(&frame).unwrap(),
-            proto::Response::Pong
-        ));
+        assert!(server.receive(&frame[..3]).unwrap().is_empty());
+        let err = server.receive(&frame[3..]).unwrap_err();
+        assert!(err.to_string().contains("unsupported protocol preamble"));
+        assert!(server.pending_out().is_empty(), "no ack for a bare frame");
     }
 
     #[test]
     fn server_closes_on_unsupported_version() {
         let mut server = ServerConn::new();
         let err = server.receive(&[b'R', b'N', b'I', 9]).unwrap_err();
-        assert!(err.to_string().contains("unsupported protocol version"));
+        assert!(err.to_string().contains("unsupported protocol preamble"));
     }
 
     #[test]
@@ -615,7 +541,7 @@ mod tests {
     #[test]
     fn client_rejects_non_v2_server() {
         let mut client = ClientConn::new();
-        // A v1 server's first bytes are a frame length prefix, not an ack.
+        // A peer whose first bytes are a frame length prefix, not an ack.
         let err = client.receive(&[0, 0, 0, 42]).unwrap_err();
         assert!(err.to_string().contains("did not acknowledge"));
     }

@@ -1,31 +1,18 @@
-//! The wire protocol: framing, version negotiation, and the message
+//! The wire protocol: framing, the connect preamble, and the message
 //! schema. This module is *pure* — no sockets, no threads — so every
 //! codec path is unit- and property-testable in isolation; the sans-IO
 //! connection machinery lives in [`crate::conn`] and the IO strategies in
 //! [`crate::server`]/[`crate::client`].
 //!
-//! Two protocol versions share one vocabulary:
-//!
-//! - **v1 (JSON, lock-step).** Every frame is a big-endian `u32` length
-//!   prefix followed by that many payload bytes (capped at
-//!   [`MAX_FRAME_LEN`]). A request payload is optionally wrapped in the
-//!   `%RNDI-TRACE:` header from [`rndi_obs::frame`]; the bytes after the
-//!   optional header are a JSON-encoded [`Request`]. Responses are bare
-//!   JSON [`Response`]s, answered strictly in request order.
-//! - **v2 (binary, pipelined).** The connection opens with the 4-byte
-//!   preamble `RNI\x02` (magic + protocol-version byte); the server echoes
-//!   it back as an acknowledgement. Every subsequent frame is the same
-//!   `u32` length prefix, but the payload is a compact binary
-//!   [`Envelope`] carrying a request ID, so many calls can be in flight
-//!   on one connection and responses may arrive out of order. See
-//!   [`bin`] for the byte-level codec.
-//!
-//! Version negotiation is a single inspection of a connection's first
-//! four bytes: a v1 frame's length prefix always starts `0x00`/`0x01`
-//! (lengths are capped at 16 MiB), while the v2 magic starts `b'R'`, so
-//! the two are unambiguous. A server that sees the magic with an
-//! unsupported version byte closes the connection; anything else is
-//! served as v1 — old JSON clients keep working against new servers.
+//! A connection opens with the 4-byte preamble `RNI\x02` (magic +
+//! protocol-version byte); the server echoes it back as an
+//! acknowledgement. Negotiation is strict: a server whose first four
+//! bytes are anything else — another version byte, or a bare frame with
+//! no preamble — closes the connection. Every subsequent frame is a
+//! big-endian `u32` length prefix (capped at [`MAX_FRAME_LEN`]) followed
+//! by a compact binary [`Envelope`] carrying a request ID, so many calls
+//! can be in flight on one connection and responses may arrive out of
+//! order. See [`bin`] for the byte-level codec.
 //!
 //! The message schema reuses the codec types the in-process pipeline
 //! already standardised on: values cross the wire as
@@ -42,7 +29,6 @@
 pub mod bin;
 
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
 
 use rndi_core::attrs::{AttrMod, Attributes};
 use rndi_core::context::{Binding, NameClassPair, SearchControls, SearchItem, SearchScope};
@@ -51,110 +37,18 @@ use rndi_core::filter::Filter;
 use rndi_core::name::CompositeName;
 use rndi_core::op::{NamingOp, OpKind, OpOutcome, OpPayload, ALL_OP_KINDS};
 use rndi_core::value::{BoundValue, StoredValue};
-use serde::{Deserialize, Serialize};
 
-/// The legacy JSON protocol version (lock-step request/response).
-pub const PROTOCOL_V1: u32 = 1;
-
-/// The binary, pipelined protocol version (request-ID envelopes).
+/// The wire protocol version: binary, pipelined request-ID envelopes.
 pub const PROTOCOL_V2: u32 = 2;
-
-/// Protocol version tag carried in every v1 request.
-pub const PROTOCOL_VERSION: u32 = PROTOCOL_V1;
 
 /// Hard cap on a single frame's payload, request or response.
 pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 
-/// The first three bytes of a v2+ connection preamble. `b'R'` can never
-/// open a v1 frame: v1 length prefixes are capped at [`MAX_FRAME_LEN`],
-/// so their first byte is always `0x00` or `0x01`.
-pub const PREAMBLE_MAGIC: [u8; 3] = *b"RNI";
-
-/// The full 4-byte preamble a v2 client sends on connect (and a v2
-/// server echoes back as its acknowledgement): magic + version byte.
+/// The 4-byte preamble a client sends on connect (and the server echoes
+/// back as its acknowledgement): the magic `RNI` plus the version byte.
 pub const PREAMBLE_V2: [u8; 4] = [b'R', b'N', b'I', PROTOCOL_V2 as u8];
 
-/// What a connection's first four bytes negotiate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Negotiated {
-    /// No preamble: the bytes are the start of a v1 frame stream.
-    V1,
-    /// The v2 preamble: binary envelopes with request IDs.
-    V2,
-    /// Preamble magic with a version byte this build does not speak; the
-    /// connection must be closed (there is no compatible framing).
-    Unsupported(u8),
-}
-
-/// Classify a connection's first four bytes (see the module docs for why
-/// this is unambiguous).
-pub fn negotiate(first4: &[u8; 4]) -> Negotiated {
-    if first4[..3] == PREAMBLE_MAGIC {
-        match first4[3] as u32 {
-            PROTOCOL_V2 => Negotiated::V2,
-            other => Negotiated::Unsupported(other as u8),
-        }
-    } else {
-        Negotiated::V1
-    }
-}
-
-// ------------------------------------------------------------ framing --
-
-/// Write one length-prefixed frame.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    if payload.len() > MAX_FRAME_LEN {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!("frame of {} bytes exceeds cap", payload.len()),
-        ));
-    }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
-}
-
-/// Read one length-prefixed frame. Oversized length prefixes error out
-/// before any allocation, so a corrupt or hostile peer cannot force a
-/// multi-gigabyte buffer.
-pub fn read_frame(r: &mut impl Read) -> std::io::Result<Vec<u8>> {
-    let mut len = [0u8; 4];
-    r.read_exact(&mut len)?;
-    let len = u32::from_be_bytes(len) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds cap"),
-        ));
-    }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
-    Ok(buf)
-}
-
 // ----------------------------------------------------------- messages --
-
-/// One client→server message.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub enum Request {
-    /// Connection health probe; the server answers [`Response::Pong`].
-    Ping,
-    /// Execute one naming operation. `deadline_ms` is the client's
-    /// remaining per-request budget (`0` = no deadline).
-    Call {
-        v: u32,
-        op: Box<WireOp>,
-        deadline_ms: u64,
-    },
-}
-
-/// One server→client message.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub enum Response {
-    Pong,
-    Ok(WireOutcome),
-    Err(WireError),
-}
 
 /// A v2 message: a request ID plus a body, in either direction. Request
 /// IDs are allocated by the client and echoed by the server, which is
@@ -174,8 +68,7 @@ pub enum EnvelopeBody {
     Pong,
     /// Execute one naming operation. `deadline_ms` is the client's
     /// remaining per-request budget (`0` = no deadline). `trace` is the
-    /// transport-level trace context (the v2 analogue of the v1
-    /// `%RNDI-TRACE:` payload header), used when the op meta carries no
+    /// transport-level trace context, used when the op meta carries no
     /// `obs.trace` annotation.
     Call {
         op: Box<WireOp>,
@@ -184,12 +77,12 @@ pub enum EnvelopeBody {
     },
     Ok(WireOutcome),
     Err(WireError),
-    /// A telemetry request (v2 only): scrape the serving instance over
+    /// A telemetry request: scrape the serving instance over
     /// the same socket as data ops. Answered with
     /// [`EnvelopeBody::AdminOk`] or [`EnvelopeBody::Err`].
     Admin(AdminRequest),
     AdminOk(AdminReply),
-    /// A cluster membership exchange (v2 only): gossip sync or a ferried
+    /// A cluster membership exchange: gossip sync or a ferried
     /// group-communication frame. Answered with [`EnvelopeBody::GossipOk`]
     /// or [`EnvelopeBody::Err`].
     Gossip(GossipRequest),
@@ -223,7 +116,7 @@ pub enum AdminReply {
 /// One member's lifecycle state as gossiped between nodes (the
 /// `Alive → Suspect → Dead → Quarantined` machine lives in
 /// `rndi-cluster`; the wire only carries the verdicts).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum MemberState {
     Alive,
     Suspect,
@@ -256,7 +149,7 @@ impl MemberState {
 
 /// One row of a gossiped membership table: who, where, which incarnation,
 /// and what the gossiper believes about it.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MemberEntry {
     /// Stable node name (survives restarts; the quarantine key).
     pub name: String,
@@ -272,14 +165,14 @@ pub struct MemberEntry {
 /// travels without the highest-seq view that goes with it (that coupling
 /// is what prevents a healed minority coordinator from installing a
 /// rival view).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ViewSummary {
     pub seq: u64,
     /// Member names in view (coordinator-first) order.
     pub members: Vec<String>,
 }
 
-/// The gossip request family (v2 only).
+/// The gossip request family.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GossipRequest {
     /// Push-pull membership exchange; doubles as the heartbeat the
@@ -312,7 +205,7 @@ pub enum GossipReply {
 }
 
 /// A [`NamingOp`] in wire form.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WireOp {
     /// [`OpKind::label`] string.
     pub kind: String,
@@ -320,29 +213,26 @@ pub struct WireOp {
     pub name: String,
     pub payload: WirePayload,
     pub attrs: Option<Attributes>,
-    /// Op metadata — this is how the trace context
-    /// (`obs.trace`) rides along even without the transport-level header.
+    /// Op metadata — this is how the trace context (`obs.trace`) rides
+    /// along next to the envelope's transport-level field.
     pub meta: BTreeMap<String, String>,
 }
 
 /// [`OpPayload`] in wire form. Listener registrations are process-local
 /// and have no wire representation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum WirePayload {
     None,
     Value(StoredValue),
     /// Raw marshalled bytes whose encoding this node does not recognise
-    /// (foreign data, or a payload wrapped in a trace frame that must be
-    /// preserved byte-exactly).
+    /// (foreign data that must be preserved byte-exactly).
     Wire {
         bytes: Vec<u8>,
         class_name: String,
     },
     /// An already-marshalled payload carried *decoded*: the wire form is
     /// the [`StoredValue`] itself, not its serialized bytes nested inside
-    /// the outer frame (the v1 double-encode this variant eliminates —
-    /// `StoredValue::encode` bytes used to cross as a JSON array of
-    /// integers). The receiver re-marshals with the shared op codec, so
+    /// the outer frame. The receiver re-marshals with the shared op codec, so
     /// backends still see [`OpPayload::Wire`] bytes.
     Stored {
         value: StoredValue,
@@ -361,7 +251,7 @@ pub enum WirePayload {
 
 /// [`OpOutcome`] in wire form. `Subscribed` handles are process-local and
 /// have no wire representation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum WireOutcome {
     Done,
     Value(StoredValue),
@@ -372,19 +262,19 @@ pub enum WireOutcome {
     Found(Vec<WireHit>),
 }
 
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WireNameClass {
     pub name: String,
     pub class_name: String,
 }
 
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WireBinding {
     pub name: String,
     pub value: StoredValue,
 }
 
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WireHit {
     pub name: String,
     pub value: Option<StoredValue>,
@@ -393,7 +283,7 @@ pub struct WireHit {
 
 /// [`NamingError`] in wire form, one variant per source variant so every
 /// error a remote backend can produce round-trips with full fidelity.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum WireError {
     NameNotFound {
         name: String,
@@ -528,24 +418,21 @@ pub fn encode_op_as(op: &NamingOp, trace: Option<rndi_obs::TraceCtx>) -> Result<
 /// Choose the single-encoded wire form for an already-marshalled payload.
 /// Bytes that are a bare canonical [`StoredValue`] encoding cross decoded
 /// (and are re-encoded on the far side — `encode ∘ decode` is the
-/// identity for the shared codec's own output); trace-framed payloads and
-/// foreign bytes must survive byte-exactly, so they stay raw. JSON-tree
-/// values also stay raw: their re-encoding need not be byte-identical.
+/// identity for the shared codec's own output); foreign bytes must
+/// survive byte-exactly, so they stay raw. JSON-tree values also stay
+/// raw: their re-encoding need not be byte-identical.
 fn encode_wire_payload(bytes: &[u8], class_name: &str) -> WirePayload {
-    let (frame_ctx, payload) = rndi_obs::frame::strip(bytes);
-    if frame_ctx.is_none() && payload.len() == bytes.len() {
-        if let Some(value) = StoredValue::decode(bytes) {
-            if !matches!(value, StoredValue::Json(_)) && value.encode() == bytes {
-                return WirePayload::Stored {
-                    value,
-                    class_name: class_name.to_string(),
-                };
+    match StoredValue::decode(bytes) {
+        Some(value) if !matches!(value, StoredValue::Json(_)) && value.encode() == bytes => {
+            WirePayload::Stored {
+                value,
+                class_name: class_name.to_string(),
             }
         }
-    }
-    WirePayload::Wire {
-        bytes: bytes.to_vec(),
-        class_name: class_name.to_string(),
+        _ => WirePayload::Wire {
+            bytes: bytes.to_vec(),
+            class_name: class_name.to_string(),
+        },
     }
 }
 
@@ -798,46 +685,18 @@ pub fn decode_error(wire: &WireError) -> NamingError {
     }
 }
 
-/// Parse request bytes (after the optional transport trace header has been
-/// stripped). Any decode failure maps to `ServiceFailure` — the server
-/// answers with an error response instead of dropping the connection.
-pub fn decode_request(payload: &[u8]) -> Result<Request> {
-    serde_json::from_slice(payload)
-        .map_err(|e| NamingError::service(format!("malformed request: {e}")))
-}
-
-/// Parse response bytes.
-pub fn decode_response(payload: &[u8]) -> Result<Response> {
-    serde_json::from_slice(payload)
-        .map_err(|e| NamingError::service(format!("malformed response: {e}")))
-}
-
-/// Serialize any message to bytes.
-pub fn encode_message<T: Serialize>(msg: &T) -> Result<Vec<u8>> {
-    serde_json::to_vec(msg).map_err(|e| NamingError::service(format!("encode failed: {e}")))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rndi_core::attrs::Attribute;
     use rndi_core::value::Reference;
 
-    #[test]
-    fn frame_roundtrip() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").unwrap();
-        assert_eq!(buf.len(), 4 + 5);
-        let mut r = &buf[..];
-        assert_eq!(read_frame(&mut r).unwrap(), b"hello");
-    }
-
-    #[test]
-    fn frame_rejects_oversized_length() {
-        let mut bytes = (MAX_FRAME_LEN as u32 + 1).to_be_bytes().to_vec();
-        bytes.extend_from_slice(b"x");
-        let mut r = &bytes[..];
-        assert!(read_frame(&mut r).is_err());
+    /// Send `body` through the binary envelope codec and back.
+    fn through_codec(body: EnvelopeBody) -> EnvelopeBody {
+        let env = Envelope { req_id: 7, body };
+        let back = bin::decode_envelope(&bin::encode_envelope(&env).unwrap()).unwrap();
+        assert_eq!(back.req_id, 7);
+        back.body
     }
 
     #[test]
@@ -873,8 +732,15 @@ mod tests {
             let mut traced = op.clone();
             traced.meta.set("obs.trace", "1-2-0-0");
             let wire = encode_op(&traced).unwrap();
-            let bytes = encode_message(&wire).unwrap();
-            let parsed: WireOp = serde_json::from_slice(&bytes).unwrap();
+            let parsed = match through_codec(EnvelopeBody::Call {
+                op: Box::new(wire.clone()),
+                deadline_ms: 0,
+                trace: None,
+            }) {
+                EnvelopeBody::Call { op, .. } => *op,
+                other => panic!("wrong body {other:?}"),
+            };
+            assert_eq!(parsed, wire);
             let back = decode_op(&parsed).unwrap();
             assert_eq!(back.kind, op.kind);
             assert_eq!(back.name.to_string(), op.name.to_string());
@@ -924,56 +790,61 @@ mod tests {
         ];
         for out in outs {
             let wire = encode_outcome(&out).unwrap();
-            let bytes = encode_message(&wire).unwrap();
-            let parsed: WireOutcome = serde_json::from_slice(&bytes).unwrap();
+            let parsed = match through_codec(EnvelopeBody::Ok(wire)) {
+                EnvelopeBody::Ok(w) => w,
+                other => panic!("wrong body {other:?}"),
+            };
             let back = decode_outcome(&parsed).unwrap();
             assert_eq!(format!("{back:?}"), format!("{out:?}"));
         }
     }
 
     #[test]
-    fn error_roundtrip_including_continue() {
+    fn error_roundtrip_covers_every_variant() {
         let errors = vec![
             NamingError::not_found("a"),
             NamingError::already_bound("b"),
+            NamingError::NotAContext { name: "c".into() },
+            NamingError::ContextExpected { name: "d".into() },
+            NamingError::InvalidName {
+                name: "e//".into(),
+                reason: "empty component".into(),
+            },
+            NamingError::InvalidSearchFilter {
+                filter: "(x".into(),
+                reason: "unbalanced".into(),
+            },
+            NamingError::NotSupported {
+                operation: "watch".into(),
+            },
+            NamingError::NoPermission {
+                detail: "read-only".into(),
+            },
+            NamingError::service("down"),
             NamingError::Timeout {
                 detail: "slow".into(),
             },
+            NamingError::NoProvider {
+                scheme: "gopher".into(),
+            },
+            NamingError::ConfigurationError {
+                detail: "bad key".into(),
+            },
+            NamingError::ContextNotEmpty { name: "f".into() },
+            NamingError::LeaseExpired { name: "g".into() },
             NamingError::Continue {
                 resolved: BoundValue::Reference(Reference::url("ldap://h/dc=x")),
                 remaining: CompositeName::parse("rest/of/name").unwrap(),
             },
             NamingError::FederationDepthExceeded { depth: 9 },
+            NamingError::Overloaded { retry_after_ms: 12 },
         ];
         for e in errors {
-            let wire = encode_error(&e);
-            let bytes = encode_message(&wire).unwrap();
-            let parsed: WireError = serde_json::from_slice(&bytes).unwrap();
+            let parsed = match through_codec(EnvelopeBody::Err(encode_error(&e))) {
+                EnvelopeBody::Err(w) => w,
+                other => panic!("wrong body {other:?}"),
+            };
             assert_eq!(decode_error(&parsed), e);
         }
-    }
-
-    #[test]
-    fn request_response_roundtrip() {
-        let req = Request::Call {
-            v: PROTOCOL_VERSION,
-            op: Box::new(encode_op(&NamingOp::lookup("x".into())).unwrap()),
-            deadline_ms: 250,
-        };
-        let parsed = decode_request(&encode_message(&req).unwrap()).unwrap();
-        match parsed {
-            Request::Call { v, deadline_ms, .. } => {
-                assert_eq!(v, PROTOCOL_VERSION);
-                assert_eq!(deadline_ms, 250);
-            }
-            other => panic!("wrong request {other:?}"),
-        }
-        let resp = Response::Err(encode_error(&NamingError::not_found("y")));
-        match decode_response(&encode_message(&resp).unwrap()).unwrap() {
-            Response::Err(e) => assert_eq!(decode_error(&e), NamingError::not_found("y")),
-            other => panic!("wrong response {other:?}"),
-        }
-        assert!(decode_request(b"not json").is_err());
-        assert!(decode_response(b"{\"halfway\":").is_err());
     }
 }

@@ -904,7 +904,10 @@ mod tests {
 
     #[test]
     fn hot_path_lookup_is_compact() {
-        let op = proto::encode_op(&NamingOp::lookup("services/printer".into())).unwrap();
+        // A lookup pays its name plus a small fixed overhead: no field
+        // names, no text marshalling.
+        let name = "services/printer";
+        let op = proto::encode_op(&NamingOp::lookup(name.into())).unwrap();
         let env = Envelope {
             req_id: 1,
             body: EnvelopeBody::Call {
@@ -914,17 +917,11 @@ mod tests {
             },
         };
         let bin = encode_envelope(&env).unwrap();
-        let json = serde_json::to_vec(&proto::Request::Call {
-            v: proto::PROTOCOL_V1,
-            op: Box::new(op),
-            deadline_ms: 5_000,
-        })
-        .unwrap();
         assert!(
-            bin.len() < json.len(),
-            "binary ({}) should undercut JSON ({})",
+            bin.len() <= name.len() + 32,
+            "lookup envelope of {} bytes for a {}-byte name",
             bin.len(),
-            json.len()
+            name.len()
         );
     }
 

@@ -735,8 +735,8 @@ fn shard_loop(state: Arc<ServerState>, inbox: Arc<ShardInbox>, shard: usize) {
                     i += 1;
                 }
                 Err(_) => {
-                    // Peer hung up, sent garbage framing, or spoke an
-                    // unsupported protocol version: drop the connection.
+                    // Peer hung up, sent garbage framing, or opened with
+                    // anything but the v2 preamble: drop the connection.
                     conns.swap_remove(i);
                     state.active.fetch_sub(1, Ordering::SeqCst);
                     active_gauge.add(-1);
@@ -908,8 +908,7 @@ fn flush_out(conn: &mut ShardConn, bytes_out: &Arc<rndi_obs::Counter>) -> std::i
 /// executed inline exactly as before.
 ///
 /// Shed responses can overtake queued ones from the same socket; that is
-/// fine for the v2 mux (responses match by id) and unobservable for the
-/// lock-step v1 client (it never has two calls in flight).
+/// fine for the mux, whose responses match by id.
 fn respond(
     state: &ServerState,
     conn: &mut ShardConn,
@@ -1036,8 +1035,7 @@ fn dispatch_call(
 ) -> Result<proto::WireOutcome> {
     let mut op = proto::decode_op(wire_op)?;
     // Prefer the op-meta context (set by the client's span), falling back
-    // to the transport-level context (the v1 frame header or the v2
-    // envelope field); record a "server" span as its child and re-annotate
+    // to the transport-level context (the envelope field); record a "server" span as its child and re-annotate
     // so the backend pipeline's spans nest under this one.
     let inbound = op.trace_ctx().or(transport_ctx);
     let server_ctx = match &inbound {

@@ -1,9 +1,9 @@
-//! Fuzz-style hardening for the wire decoders (v1 JSON and v2 binary):
-//! arbitrary, malformed, or truncated bytes must surface as errors —
-//! never panics, never huge allocations from attacker-controlled length
-//! prefixes — and every well-formed envelope must round-trip exactly.
+//! Fuzz-style hardening for the wire decoders: arbitrary, malformed, or
+//! truncated bytes must surface as errors — never panics, never huge
+//! allocations from attacker-controlled length prefixes — and every
+//! well-formed envelope must round-trip exactly.
 
-use std::io::Cursor;
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
@@ -14,11 +14,24 @@ use rndi_net::conn::{FrameBuf, ServerConn};
 use rndi_net::proto::{self, Envelope, EnvelopeBody};
 use rndi_obs::TraceCtx;
 
+/// Drain every frame the reassembler can produce; an error ends the
+/// stream (the connection would close).
+fn drain(fb: &mut FrameBuf) -> Vec<Vec<u8>> {
+    let mut frames = Vec::new();
+    while let Ok(Some(frame)) = fb.next_frame() {
+        frames.push(frame);
+    }
+    frames
+}
+
 proptest! {
-    /// Arbitrary bytes through the frame reader: error or frame, no panic.
+    /// Arbitrary bytes through the frame reassembler: error, frame, or
+    /// "need more", never a panic.
     #[test]
-    fn read_frame_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = proto::read_frame(&mut Cursor::new(&bytes));
+    fn framebuf_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
+        let mut fb = FrameBuf::new();
+        fb.push(&bytes);
+        let _ = drain(&mut fb);
     }
 
     /// A length prefix promising more than the cap is rejected before any
@@ -29,70 +42,52 @@ proptest! {
         tail in proptest::collection::vec(any::<u8>(), 0..16),
     ) {
         let len = (proto::MAX_FRAME_LEN as u64 + extra) as u32;
-        let mut bytes = len.to_be_bytes().to_vec();
-        bytes.extend_from_slice(&tail);
-        prop_assert!(proto::read_frame(&mut Cursor::new(&bytes)).is_err());
+        let mut fb = FrameBuf::new();
+        fb.push(&len.to_be_bytes());
+        fb.push(&tail);
+        prop_assert!(fb.next_frame().is_err());
     }
 
-    /// A well-formed frame truncated at any byte is an error, not a panic
-    /// or a partial frame.
+    /// A well-formed frame truncated at any byte yields no frame (and no
+    /// partial one); the rest of its bytes complete it exactly.
     #[test]
-    fn truncated_frames_error(
+    fn truncated_frames_wait_for_the_rest(
         payload in proptest::collection::vec(any::<u8>(), 0..64),
         cut in 0usize..68,
     ) {
-        let mut framed = Vec::new();
-        proto::write_frame(&mut framed, &payload).expect("frame writes");
+        let mut framed = (payload.len() as u32).to_be_bytes().to_vec();
+        framed.extend_from_slice(&payload);
         let cut = cut.min(framed.len());
+        let mut fb = FrameBuf::new();
+        fb.push(&framed[..cut]);
         if cut < framed.len() {
-            prop_assert!(proto::read_frame(&mut Cursor::new(&framed[..cut])).is_err());
-        } else {
-            let back = proto::read_frame(&mut Cursor::new(&framed[..])).expect("intact frame");
-            prop_assert_eq!(back, payload);
+            prop_assert_eq!(fb.next_frame().expect("not an error"), None);
         }
+        fb.push(&framed[cut..]);
+        prop_assert_eq!(drain(&mut fb), vec![payload]);
+        prop_assert_eq!(fb.pending(), 0);
     }
 
-    /// Request/response decoders on arbitrary bytes: typed error, no panic.
-    #[test]
-    fn message_decoders_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..128)) {
-        let _ = proto::decode_request(&bytes);
-        let _ = proto::decode_response(&bytes);
-    }
-
-    /// Near-miss JSON — structurally valid but semantically wrong — is
-    /// rejected as an error, not a panic.
-    #[test]
-    fn near_miss_json_is_rejected(
-        key in "[a-zA-Z]{1,8}",
-        val in "[a-zA-Z0-9]{0,8}",
-        deep in 0usize..6,
-    ) {
-        let mut json = format!("{{\"{key}\":\"{val}\"}}");
-        for _ in 0..deep {
-            json = format!("{{\"{key}\":{json}}}");
-        }
-        prop_assert!(proto::decode_request(json.as_bytes()).is_err());
-        prop_assert!(proto::decode_response(json.as_bytes()).is_err());
-    }
-
-    /// Frames whose payload is valid JSON for the right shape but with a
-    /// corrupted op kind or scope string decode to an error.
+    /// Materializing a wire op rejects unknown op kinds as a typed error.
     #[test]
     fn unknown_op_kinds_error(kind in "[a-z]{1,12}") {
-        let known = rndi_core::op::ALL_OP_KINDS.iter().any(|k| k.label() == kind);
-        let json = format!(
-            "{{\"Call\":{{\"v\":1,\"op\":{{\"kind\":\"{kind}\",\"name\":\"a\",\
-             \"payload\":\"None\",\"attrs\":null,\"meta\":{{}}}},\"deadline_ms\":0}}}}"
+        let known = ALL_OP_KINDS.iter().any(|k| k.label() == kind);
+        let op = proto::WireOp {
+            kind,
+            name: "a".into(),
+            payload: proto::WirePayload::None,
+            attrs: None,
+            meta: BTreeMap::new(),
+        };
+        prop_assert_eq!(proto::decode_op(&op).is_ok(), known);
+        prop_assert_eq!(
+            proto::bin::encode_envelope(&Envelope {
+                req_id: 1,
+                body: EnvelopeBody::Call { op: Box::new(op), deadline_ms: 0, trace: None },
+            })
+            .is_ok(),
+            known
         );
-        match proto::decode_request(json.as_bytes()) {
-            Ok(proto::Request::Call { op, .. }) => {
-                // Decoding the envelope is fine; materializing the op must
-                // reject unknown kinds.
-                prop_assert_eq!(proto::decode_op(&op).is_ok(), known);
-            }
-            Ok(_) => prop_assert!(false, "ping from a call payload"),
-            Err(_) => prop_assert!(!known),
-        }
     }
 }
 
@@ -314,24 +309,32 @@ proptest! {
         prop_assert!(proto::bin::decode_envelope(&padded).is_err());
     }
 
-    /// Version negotiation on the first four connection bytes: the exact
-    /// v2 preamble selects v2; the magic with any other version byte is
-    /// rejected; everything else — in particular any v1 frame length
-    /// prefix, whose first byte is at most 0x01 — falls back to v1.
+    /// Negotiation is strict: a connection whose first four bytes are
+    /// anything but the exact v2 preamble is closed without an ack.
     #[test]
-    fn version_negotiation_classifies_first_bytes(first4 in any::<[u8; 4]>()) {
-        let got = proto::negotiate(&first4);
+    fn only_the_v2_preamble_opens_a_connection(first4 in any::<[u8; 4]>()) {
+        let mut conn = ServerConn::new();
         if first4 == proto::PREAMBLE_V2 {
-            prop_assert_eq!(got, proto::Negotiated::V2);
-        } else if first4[..3] == proto::PREAMBLE_MAGIC {
-            prop_assert_eq!(got, proto::Negotiated::Unsupported(first4[3]));
+            prop_assert!(conn.receive(&first4).expect("v2 preamble").is_empty());
+            prop_assert_eq!(conn.pending_out(), &proto::PREAMBLE_V2[..]);
         } else {
-            prop_assert_eq!(got, proto::Negotiated::V1);
+            prop_assert!(conn.receive(&first4).is_err());
+            prop_assert!(conn.pending_out().is_empty());
         }
-        // A v1 length prefix can never be mistaken for the magic: capped
-        // frame lengths keep the first byte at or below 0x01.
-        let frame_len = (proto::MAX_FRAME_LEN as u32).to_be_bytes();
-        prop_assert!(frame_len[0] < proto::PREAMBLE_MAGIC[0]);
+    }
+
+    /// A bare frame — a length prefix with no preamble in front — is one
+    /// such opening, whatever its length and payload.
+    #[test]
+    fn a_bare_frame_is_rejected(
+        len in 0u32..=proto::MAX_FRAME_LEN as u32,
+        payload in proptest::collection::vec(any::<u8>(), 0..32),
+    ) {
+        let mut bytes = len.to_be_bytes().to_vec();
+        bytes.extend_from_slice(&payload);
+        let mut conn = ServerConn::new();
+        prop_assert!(conn.receive(&bytes).is_err());
+        prop_assert!(conn.pending_out().is_empty());
     }
 
     /// A server connection fed an unknown-version preamble closes before

@@ -95,7 +95,7 @@ impl TraceCtx {
         }
     }
 
-    /// Compact ASCII encoding used in op metadata and wire frames:
+    /// Compact ASCII encoding used in op metadata (`obs.trace`):
     /// `trace-span-parent-depth`, hex fields.
     pub fn encode(&self) -> String {
         format!(

@@ -230,17 +230,6 @@ fn path_to_name(path: &str) -> CompositeName {
     CompositeName::from_components(path.split('/').map(String::from))
 }
 
-/// Wrap a wire payload in a trace frame when the op is traced, so the
-/// realm's server side can link its span to the client's. The realm strips
-/// the frame before storing, keeping stored bytes identical to an untraced
-/// client's.
-fn frame_payload(payload: Vec<u8>, op: &NamingOp) -> Vec<u8> {
-    match op.trace_ctx() {
-        Some(ctx) => rndi_obs::frame::wrap(&ctx, &payload),
-        None => payload,
-    }
-}
-
 impl HdnsProviderContext {
     fn lookup(&self, name: &CompositeName) -> Result<BoundValue> {
         if let Some(cont) = self.check_mount(name) {
@@ -379,40 +368,23 @@ impl HdnsProviderContext {
         r
     }
 
-    fn bind_with_attrs(
-        &self,
-        name: &CompositeName,
-        payload: Vec<u8>,
-        attrs: &Attributes,
-    ) -> Result<()> {
-        if let Some(cont) = self.check_mount(name) {
+    /// Bind (or, with `overwrite`, rebind) `op`'s marshalled payload and
+    /// attributes. A traced op hands its context to the realm, which
+    /// links its server span under the client's.
+    fn write_entry(&self, op: &NamingOp, overwrite: bool) -> Result<()> {
+        let (payload, _) = op.wire_value()?;
+        if let Some(cont) = self.check_mount(&op.name) {
             return Err(cont);
         }
-        let path = self.path(name)?;
-        let entry = to_entry(payload, attrs);
-        let r = self
-            .realm
-            .bind(self.node, &path, entry)
-            .map_err(|e| realm_err(e, &path));
-        self.drain_events();
-        r
-    }
-
-    fn rebind_with_attrs(
-        &self,
-        name: &CompositeName,
-        payload: Vec<u8>,
-        attrs: &Attributes,
-    ) -> Result<()> {
-        if let Some(cont) = self.check_mount(name) {
-            return Err(cont);
+        let path = self.path(&op.name)?;
+        let entry = to_entry(payload, op.attrs.as_ref().unwrap_or(&Attributes::new()));
+        let trace = op.trace_ctx();
+        let r = if overwrite {
+            self.realm.rebind(self.node, &path, entry, trace)
+        } else {
+            self.realm.bind(self.node, &path, entry, trace)
         }
-        let path = self.path(name)?;
-        let entry = to_entry(payload, attrs);
-        let r = self
-            .realm
-            .rebind(self.node, &path, entry)
-            .map_err(|e| realm_err(e, &path));
+        .map_err(|e| realm_err(e, &path));
         self.drain_events();
         r
     }
@@ -445,16 +417,10 @@ impl ProviderBackend for HdnsProviderContext {
         match op.kind {
             OpKind::Lookup => self.lookup(&op.name).map(OpOutcome::Value),
             OpKind::Bind | OpKind::BindWithAttrs => {
-                let (payload, _) = op.wire_value()?;
-                let attrs = op.attrs.clone().unwrap_or_default();
-                self.bind_with_attrs(&op.name, frame_payload(payload, op), &attrs)?;
-                Ok(OpOutcome::Done)
+                self.write_entry(op, false).map(|_| OpOutcome::Done)
             }
             OpKind::Rebind | OpKind::RebindWithAttrs => {
-                let (payload, _) = op.wire_value()?;
-                let attrs = op.attrs.clone().unwrap_or_default();
-                self.rebind_with_attrs(&op.name, frame_payload(payload, op), &attrs)?;
-                Ok(OpOutcome::Done)
+                self.write_entry(op, true).map(|_| OpOutcome::Done)
             }
             OpKind::Unbind => self.unbind(&op.name).map(|_| OpOutcome::Done),
             OpKind::Rename => self
@@ -697,13 +663,16 @@ mod tests {
         let a = HdnsProviderContext::new(realm.clone(), 0, "obs-hdns");
         let b = HdnsProviderContext::new(realm.clone(), 1, "obs-hdns");
         a.bind_str("traced", "payload").unwrap();
-        // The frame is stripped server-side: the stored bytes decode like
-        // an untraced write and replicate normally.
+        // The trace travels beside the payload, not in it: the stored
+        // bytes are exactly an untraced write's and replicate normally.
         assert_eq!(b.lookup_str("traced").unwrap().as_str(), Some("payload"));
         let raw = realm.lookup(0, "traced").unwrap();
-        assert!(!raw.value.starts_with(rndi_obs::frame::MAGIC));
+        assert_eq!(
+            raw.value,
+            common::marshal(&BoundValue::str("payload")).unwrap()
+        );
         // And the realm recorded a server span linked into the client's
-        // trace: its parent is the client-side span that framed the write.
+        // trace: its parent is the client-side span that issued the write.
         let spans = rndi_obs::trace::ring().snapshot();
         let server = spans
             .iter()

@@ -22,10 +22,10 @@ fn main() {
 
     println!("== normal operation ==");
     realm
-        .bind(0, "svc-a", HdnsEntry::leaf(b"alpha".to_vec()))
+        .bind(0, "svc-a", HdnsEntry::leaf(b"alpha".to_vec()), None)
         .unwrap();
     realm
-        .bind(1, "svc-b", HdnsEntry::leaf(b"beta".to_vec()))
+        .bind(1, "svc-b", HdnsEntry::leaf(b"beta".to_vec()), None)
         .unwrap();
     for i in 0..3 {
         assert_eq!(realm.lookup(i, "svc-a").unwrap().value, b"alpha");
@@ -37,7 +37,7 @@ fn main() {
     assert!(!realm.is_alive(2));
     // Service continues; writes land on the survivors.
     realm
-        .bind(0, "svc-c", HdnsEntry::leaf(b"gamma".to_vec()))
+        .bind(0, "svc-c", HdnsEntry::leaf(b"gamma".to_vec()), None)
         .unwrap();
     realm.restart(2);
     assert!(realm.is_alive(2));
@@ -53,10 +53,20 @@ fn main() {
     // writes (availability over consistency during the partition).
     realm.partition(&[&[0, 1], &[2]]);
     realm
-        .bind(0, "written-by-majority", HdnsEntry::leaf(b"keep".to_vec()))
+        .bind(
+            0,
+            "written-by-majority",
+            HdnsEntry::leaf(b"keep".to_vec()),
+            None,
+        )
         .unwrap();
     realm
-        .bind(2, "written-by-minority", HdnsEntry::leaf(b"drop".to_vec()))
+        .bind(
+            2,
+            "written-by-minority",
+            HdnsEntry::leaf(b"drop".to_vec()),
+            None,
+        )
         .unwrap();
     println!("both sides accepted writes while partitioned");
 
@@ -84,7 +94,7 @@ fn main() {
     let newcomer = realm.add_replica();
     assert_eq!(realm.lookup(newcomer, "svc-a").unwrap().value, b"alpha");
     realm
-        .bind(newcomer, "svc-d", HdnsEntry::leaf(b"delta".to_vec()))
+        .bind(newcomer, "svc-d", HdnsEntry::leaf(b"delta".to_vec()), None)
         .unwrap();
     assert_eq!(realm.lookup(0, "svc-d").unwrap().value, b"delta");
     println!("replica {newcomer} joined live, synced, and serves writes: OK");

@@ -58,6 +58,7 @@ fn main() -> Result<()> {
             rndi::hdns::HdnsEntry::leaf(
                 StoredValue::Reference(Reference::url("ldap://dcl-ldap/ou=dcl")).encode(),
             ),
+            None,
         )
         .unwrap();
 

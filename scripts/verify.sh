@@ -34,7 +34,7 @@ cargo build --examples
 echo "==> cargo bench --no-run"
 cargo bench --workspace --no-run
 
-echo "==> net smoke: mixed-version interop + concurrency bench builds"
+echo "==> net smoke: v2 mux and admin interop + concurrency bench builds"
 cargo test -q -p rndi-net --test interop
 cargo bench -p rndi-bench --bench net_concurrency --no-run
 

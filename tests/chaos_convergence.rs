@@ -81,6 +81,7 @@ proptest! {
                             node,
                             &format!("k{key}"),
                             HdnsEntry::leaf(vec![*val]),
+                            None,
                         );
                     }
                 }
@@ -148,7 +149,7 @@ proptest! {
 
         // And the realm still works: a fresh write lands everywhere.
         realm
-            .rebind(0, "final", HdnsEntry::leaf(vec![99]))
+            .rebind(0, "final", HdnsEntry::leaf(vec![99]), None)
             .expect("post-chaos write succeeds");
         for node in 0..REPLICAS {
             prop_assert_eq!(

@@ -88,20 +88,24 @@ fn hdns_bind_lookup_search_over_loopback() {
 fn one_linked_trace_spans_client_and_server() {
     let server = serve::serve_hdns(hdns_realm("net-trace"), 0, "net-trace", &Environment::new())
         .expect("server starts");
-    let remote = NetClient::connect(server.local_addr().to_string(), &client_env()).unwrap();
+    let addr = server.local_addr().to_string();
+    let remote = NetClient::connect(addr.clone(), &client_env()).unwrap();
 
     remote.bind_str("traced-net", "x").unwrap();
     assert_eq!(remote.lookup_str("traced-net").unwrap().as_str(), Some("x"));
 
-    // Anchor on the net client's span for the lookup, then walk its trace:
-    // client root (pipeline layer) -> ... -> net "client" span -> "server"
-    // span on the far side -> the server-side backend pipeline beneath it.
+    // Anchor on this test's own net client span for the lookup (its label
+    // names this server's address, so a sibling test's in-flight trace
+    // can't be picked up), then walk its trace: client root (pipeline
+    // layer) -> ... -> net "client" span -> "server" span on the far side
+    // -> the server-side backend pipeline beneath it.
     let ring = rndi::obs::trace::ring();
+    let client_label = format!("net-client:{addr}");
     let client_span = ring
         .snapshot()
         .into_iter()
         .rev()
-        .find(|s| s.layer == "client" && s.provider.starts_with("net-client:") && s.op == "lookup")
+        .find(|s| s.layer == "client" && *s.provider == *client_label && s.op == "lookup")
         .expect("net client span recorded");
     let trace = ring.trace(client_span.trace_id);
 
