@@ -1,8 +1,9 @@
 //! Attribute search filters.
 //!
 //! JNDI mandates LDAP-style (RFC 2254) string filters for directory
-//! searches; this module implements a lexer/parser, an evaluator over
-//! [`Attributes`], and round-trippable printing. Comparisons are
+//! searches; this module implements a lexer/parser, one evaluator (over
+//! [`Attributes`], or in place over any attribute store via
+//! [`Filter::matches_by`]), and round-trippable printing. Comparisons are
 //! case-insensitive; ordering comparisons (`>=`, `<=`) compare numerically
 //! when both operands parse as numbers, lexicographically otherwise.
 
@@ -98,37 +99,39 @@ impl Filter {
 
     /// Evaluate against an attribute set.
     pub fn matches(&self, attrs: &Attributes) -> bool {
+        self.matches_by(&|id: &str| {
+            attrs
+                .get(id)
+                .map(|a| a.values.iter().filter_map(AttrValue::as_str))
+        })
+    }
+
+    /// Evaluate against any attribute store: `values(id)` yields the
+    /// string values of attribute `id` (matched case-insensitively), or
+    /// `None` when the attribute is absent. A present attribute with no
+    /// string values satisfies only `Present`.
+    pub fn matches_by<'v, F, I>(&self, values: &F) -> bool
+    where
+        F: Fn(&str) -> Option<I>,
+        I: Iterator<Item = &'v str>,
+    {
+        let any =
+            |id: &str, pred: &dyn Fn(&str) -> bool| values(id).is_some_and(|mut vs| vs.any(pred));
         match self {
-            Filter::And(fs) => fs.iter().all(|f| f.matches(attrs)),
-            Filter::Or(fs) => fs.iter().any(|f| f.matches(attrs)),
-            Filter::Not(f) => !f.matches(attrs),
-            Filter::Present(id) => attrs.contains(id),
-            Filter::Eq(id, v) => any_value(attrs, id, |s| s.eq_ignore_ascii_case(v)),
+            Filter::And(fs) => fs.iter().all(|f| f.matches_by(values)),
+            Filter::Or(fs) => fs.iter().any(|f| f.matches_by(values)),
+            Filter::Not(f) => !f.matches_by(values),
+            Filter::Present(id) => values(id).is_some(),
+            Filter::Eq(id, v) => any(id, &|s| s.eq_ignore_ascii_case(v)),
             Filter::Approx(id, v) => {
                 let want = normalize(v);
-                any_value(attrs, id, |s| normalize(s) == want)
+                any(id, &|s| normalize(s) == want)
             }
-            Filter::Ge(id, v) => {
-                any_value(attrs, id, |s| compare(s, v) >= std::cmp::Ordering::Equal)
-            }
-            Filter::Le(id, v) => {
-                any_value(attrs, id, |s| compare(s, v) <= std::cmp::Ordering::Equal)
-            }
-            Filter::Substring(id, pat) => any_value(attrs, id, |s| pat.matches(s)),
+            Filter::Ge(id, v) => any(id, &|s| compare(s, v) >= std::cmp::Ordering::Equal),
+            Filter::Le(id, v) => any(id, &|s| compare(s, v) <= std::cmp::Ordering::Equal),
+            Filter::Substring(id, pat) => any(id, &|s| pat.matches(s)),
         }
     }
-}
-
-fn any_value(attrs: &Attributes, id: &str, pred: impl Fn(&str) -> bool) -> bool {
-    attrs
-        .get(id)
-        .map(|a| {
-            a.values.iter().any(|v| match v {
-                AttrValue::Str(s) => pred(s),
-                AttrValue::Bytes(_) => false,
-            })
-        })
-        .unwrap_or(false)
 }
 
 fn normalize(s: &str) -> String {
@@ -553,6 +556,29 @@ mod tests {
             let printed = f.to_string();
             assert_eq!(Filter::parse(&printed).unwrap(), f, "roundtrip of {s}");
         }
+    }
+
+    #[test]
+    fn present_holds_for_an_attribute_without_values() {
+        let mut attrs = Attributes::new();
+        attrs.put(crate::attrs::Attribute::new("flag"));
+        assert!(Filter::parse("(flag=*)").unwrap().matches(&attrs));
+        assert!(!Filter::parse("(flag=x)").unwrap().matches(&attrs));
+        assert!(Filter::parse("(!(flag>=0))").unwrap().matches(&attrs));
+    }
+
+    #[test]
+    fn matches_by_evaluates_any_store() {
+        let store: &[(&str, &[&str])] = &[("OS", &["Linux"]), ("cpu", &["4", "16"])];
+        let values = |id: &str| {
+            store
+                .iter()
+                .find(|(k, _)| k.eq_ignore_ascii_case(id))
+                .map(|(_, vs)| vs.iter().copied())
+        };
+        let check = |f: &str| Filter::parse(f).unwrap().matches_by(&values);
+        assert!(check("(&(os=linux)(cpu>=10))"));
+        assert!(!check("(|(os=irix)(cpu<=2)(gpu=*))"));
     }
 
     #[test]

@@ -29,4 +29,4 @@ pub mod store;
 
 pub use node::{HdnsEvent, HdnsNode, OpOutcome, ReplicaChannel, Ticket};
 pub use realm::{AutoDrive, HdnsRealm};
-pub use store::{HdnsEntry, HdnsError, HdnsStore, Op};
+pub use store::{AttrEdit, HdnsEntry, HdnsError, HdnsStore, Op};

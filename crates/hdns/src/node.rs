@@ -1,7 +1,7 @@
 //! One HDNS replica.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
@@ -115,13 +115,10 @@ impl<C: ReplicaChannel> HdnsNode<C> {
     /// Create a replica on `channel`. When `data_path` exists on disk, the
     /// store is recovered from the snapshot (cold-start recovery: "the
     /// service can thus recover the state after a complete
-    /// shutdown/restart").
+    /// shutdown/restart"). See [`recover`] for a snapshot that cannot be
+    /// read back.
     pub fn new(channel: C, data_path: Option<PathBuf>) -> HdnsNode<C> {
-        let store = data_path
-            .as_ref()
-            .and_then(|p| std::fs::read(p).ok())
-            .and_then(|bytes| HdnsStore::restore(&bytes).ok())
-            .unwrap_or_default();
+        let store = data_path.as_deref().map(recover).unwrap_or_default();
         HdnsNode {
             channel,
             store,
@@ -168,6 +165,12 @@ impl<C: ReplicaChannel> HdnsNode<C> {
             .into_iter()
             .map(|(n, e)| (n, e.clone()))
             .collect()
+    }
+
+    /// Replica-local visit of the direct children of `prefix`, borrowing
+    /// each entry in place (see [`HdnsStore::for_each_child`]).
+    pub fn for_each_child(&self, prefix: &str, visit: impl FnMut(&str, &HdnsEntry)) {
+        self.store.for_each_child(prefix, visit)
     }
 
     /// Entries currently stored.
@@ -270,7 +273,7 @@ impl<C: ReplicaChannel> HdnsNode<C> {
                 from: from.clone(),
                 to: to.clone(),
             },
-            Op::SetAttrs { path, .. } => HdnsEvent::Changed { path: path.clone() },
+            Op::ModifyAttrs { path, .. } => HdnsEvent::Changed { path: path.clone() },
         };
         self.events.push(ev);
     }
@@ -293,6 +296,30 @@ impl<C: ReplicaChannel> HdnsNode<C> {
         self.channel.disconnect();
         self.alive = false;
     }
+}
+
+/// Read the snapshot at `path`. A missing file is a fresh replica. A
+/// file that cannot be read back is moved aside to `<path>.corrupt` and
+/// counted under `rndi_hdns_snapshot_corrupt_total{path}`; the replica
+/// starts empty and state transfer brings it current. Left in place, the
+/// file would be overwritten by the next periodic snapshot.
+fn recover(path: &Path) -> HdnsStore {
+    let restored = match std::fs::read(path) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return HdnsStore::default(),
+        read => read.ok().and_then(|bytes| HdnsStore::restore(&bytes).ok()),
+    };
+    if let Some(store) = restored {
+        return store;
+    }
+    let mut aside = path.as_os_str().to_owned();
+    aside.push(".corrupt");
+    let _ = std::fs::rename(path, aside);
+    rndi_obs::metrics::counter(
+        rndi_obs::metrics::names::HDNS_SNAPSHOT_CORRUPT,
+        &[("path", &path.display().to_string())],
+    )
+    .inc();
+    HdnsStore::default()
 }
 
 #[cfg(test)]
@@ -460,6 +487,59 @@ mod tests {
         );
         assert_eq!(b.lookup("durable").unwrap().value, vec![9]);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn unreadable_snapshot_is_moved_aside_not_overwritten() {
+        let dir = std::env::temp_dir().join(format!("hdns-corrupt-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("snap.json");
+        let aside = dir.join("snap.json.corrupt");
+        std::fs::write(&path, b"{\"entries\": truncated").unwrap();
+
+        let cluster = Cluster::new(5);
+        let mut a = HdnsNode::new(
+            cluster.create_channel(StackConfig::default()),
+            Some(path.clone()),
+        );
+        assert_eq!(a.entry_count(), 0, "starts empty");
+        assert_eq!(
+            std::fs::read(&aside).unwrap(),
+            b"{\"entries\": truncated",
+            "the unreadable bytes are kept beside the snapshot path"
+        );
+        assert!(!path.exists());
+        let reported = rndi_obs::metrics::counter(
+            rndi_obs::metrics::names::HDNS_SNAPSHOT_CORRUPT,
+            &[("path", &path.display().to_string())],
+        );
+        assert_eq!(reported.get(), 1);
+
+        // The next snapshot lands at the path; the corrupt copy survives.
+        a.connect("g").unwrap();
+        cluster.pump_all();
+        a.process();
+        a.submit(Op::Bind {
+            path: "fresh".into(),
+            entry: HdnsEntry::leaf(vec![1]),
+            overwrite: false,
+        })
+        .unwrap();
+        cluster.pump_all();
+        a.process();
+        a.shutdown();
+        assert!(HdnsStore::restore(&std::fs::read(&path).unwrap()).is_ok());
+        assert_eq!(std::fs::read(&aside).unwrap(), b"{\"entries\": truncated");
+        // A missing file is a fresh replica, not a corrupt one.
+        std::fs::remove_file(&path).unwrap();
+        let b = HdnsNode::new(
+            Cluster::new(6).create_channel(StackConfig::default()),
+            Some(path.clone()),
+        );
+        assert_eq!(b.entry_count(), 0);
+        assert_eq!(reported.get(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

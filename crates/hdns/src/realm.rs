@@ -17,7 +17,7 @@ use rndi_obs::{SpanOutcome, SpanRecord, TraceCtx};
 use groupcast::{Addr, Cluster, StackConfig};
 
 use crate::node::{HdnsEvent, HdnsNode, OpOutcome, Ticket};
-use crate::store::{HdnsEntry, HdnsError, Op};
+use crate::store::{AttrEdit, HdnsEntry, HdnsError, Op};
 
 /// Client-visible failures.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -164,7 +164,7 @@ impl HdnsRealm {
             Op::Unbind { .. } => "unbind",
             Op::Rename { .. } => "rename",
             Op::CreateContext { .. } => "create_subcontext",
-            Op::SetAttrs { .. } => "modify_attributes",
+            Op::ModifyAttrs { .. } => "modify_attributes",
         }
     }
 
@@ -294,17 +294,19 @@ impl HdnsRealm {
         )
     }
 
-    pub fn set_attrs(
+    /// Apply attribute `edits` to `path` atomically: the edits travel as
+    /// one op and every replica applies them to the entry as delivered.
+    pub fn modify_attrs(
         &self,
         node: usize,
         path: &str,
-        attrs: std::collections::BTreeMap<String, String>,
+        edits: Vec<AttrEdit>,
     ) -> Result<(), RealmError> {
         self.write(
             node,
-            Op::SetAttrs {
+            Op::ModifyAttrs {
                 path: path.to_string(),
-                attrs,
+                edits,
             },
             None,
         )
@@ -318,6 +320,15 @@ impl HdnsRealm {
     /// Replica-local listing on `node`.
     pub fn list(&self, node: usize, prefix: &str) -> Vec<(String, HdnsEntry)> {
         self.nodes.lock()[node].lock().list(prefix)
+    }
+
+    /// Replica-local visit of the direct children of `prefix` on `node`,
+    /// borrowing each entry in place. Runs under that replica's lock (the
+    /// realm-wide replica table is released first), so `visit` must not
+    /// call back into the realm.
+    pub fn for_each_child(&self, node: usize, prefix: &str, visit: impl FnMut(&str, &HdnsEntry)) {
+        let handle = self.nodes.lock()[node].clone();
+        handle.lock().for_each_child(prefix, visit);
     }
 
     /// Drain replica `node`'s change events.

@@ -2,16 +2,18 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use serde::de::{field, Error as DeError};
+use serde::{Deserialize, Serialize, Value};
 
 /// An entry in the naming service.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct HdnsEntry {
     /// Marshalled bound value (opaque to HDNS).
     pub value: Vec<u8>,
-    /// String attributes (HDNS keeps its attribute model simple; richer
-    /// typing lives in the client layers).
-    pub attrs: BTreeMap<String, String>,
+    /// Multi-valued string attributes, keyed by id in the case it was
+    /// created with. Ids compare case-insensitively (see
+    /// [`HdnsEntry::attr`]) and are unique up to case.
+    pub attrs: BTreeMap<String, Vec<String>>,
     /// Whether this entry is a subcontext (may have children).
     pub is_context: bool,
 }
@@ -33,9 +35,93 @@ impl HdnsEntry {
         }
     }
 
+    /// Append one value to attribute `k`.
     pub fn with_attr(mut self, k: impl Into<String>, v: impl Into<String>) -> Self {
-        self.attrs.insert(k.into(), v.into());
+        self.attrs.entry(k.into()).or_default().push(v.into());
         self
+    }
+
+    /// The stored id and values of attribute `id`, matched
+    /// case-insensitively.
+    pub fn attr(&self, id: &str) -> Option<(&str, &[String])> {
+        find_attr(&self.attrs, id).map(|(k, v)| (k.as_str(), v.as_slice()))
+    }
+}
+
+/// Case-insensitive attribute lookup. Should a map hold two case variants
+/// of one id, the later in key order wins, as when it is decoded into a
+/// case-folding attribute set.
+fn find_attr<'a>(
+    attrs: &'a BTreeMap<String, Vec<String>>,
+    id: &str,
+) -> Option<(&'a String, &'a Vec<String>)> {
+    attrs.iter().rev().find(|(k, _)| k.eq_ignore_ascii_case(id))
+}
+
+/// Snapshots written before attributes were typed hold each value list
+/// as a JSON-array string (`"k": "[\"v\"]"`); both forms restore.
+impl Deserialize for HdnsEntry {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| DeError::custom("expected object for HdnsEntry"))?;
+        let raw: BTreeMap<String, Value> = field(obj, "attrs")?;
+        let mut attrs = BTreeMap::new();
+        for (id, vals) in raw {
+            let vals = match &vals {
+                Value::String(legacy) => serde_json::from_str(legacy),
+                typed => Vec::<String>::from_value(typed),
+            }
+            .map_err(|e| DeError::custom(format!("attribute `{id}`: {e}")))?;
+            attrs.insert(id, vals);
+        }
+        Ok(HdnsEntry {
+            value: field(obj, "value")?,
+            attrs,
+            is_context: field(obj, "is_context")?,
+        })
+    }
+}
+
+/// One step of an attribute modification. Ids match case-insensitively,
+/// as [`HdnsEntry::attr`] does.
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub enum AttrEdit {
+    /// Append values, creating the attribute (under this id) if absent.
+    Add(String, Vec<String>),
+    /// Replace the attribute, id included.
+    Replace(String, Vec<String>),
+    /// Remove the attribute.
+    Remove(String),
+    /// Remove these values; the attribute goes when none remain.
+    RemoveValues(String, Vec<String>),
+}
+
+impl AttrEdit {
+    fn apply(&self, attrs: &mut BTreeMap<String, Vec<String>>) {
+        let stored = |attrs: &BTreeMap<String, Vec<String>>, id: &str| {
+            find_attr(attrs, id).map(|(k, _)| k.clone())
+        };
+        match self {
+            AttrEdit::Add(id, values) => {
+                let key = stored(attrs, id).unwrap_or_else(|| id.clone());
+                attrs.entry(key).or_default().extend(values.iter().cloned());
+            }
+            AttrEdit::Replace(id, values) => {
+                attrs.retain(|k, _| !k.eq_ignore_ascii_case(id));
+                attrs.insert(id.clone(), values.clone());
+            }
+            AttrEdit::Remove(id) => attrs.retain(|k, _| !k.eq_ignore_ascii_case(id)),
+            AttrEdit::RemoveValues(id, values) => {
+                if let Some(key) = stored(attrs, id) {
+                    let remaining = attrs.get_mut(&key).expect("key just found");
+                    remaining.retain(|v| !values.contains(v));
+                    if remaining.is_empty() {
+                        attrs.remove(&key);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -85,10 +171,12 @@ pub enum Op {
     CreateContext {
         path: String,
     },
-    /// Replace the attribute map of an existing entry.
-    SetAttrs {
+    /// Apply attribute edits to an existing entry, in order. Replicas
+    /// apply them to the entry as it stands when the op is delivered, so
+    /// concurrent modifications compose instead of overwriting each other.
+    ModifyAttrs {
         path: String,
-        attrs: BTreeMap<String, String>,
+        edits: Vec<AttrEdit>,
     },
 }
 
@@ -135,33 +223,39 @@ impl HdnsStore {
         normalize_path(path).ok().and_then(|p| self.entries.get(&p))
     }
 
-    /// Direct children of `prefix` (`""` = root).
+    /// Direct children of `prefix` (`""` = root), by child name.
+    pub fn list(&self, prefix: &str) -> Vec<(String, &HdnsEntry)> {
+        let mut out = Vec::new();
+        self.for_each_child(prefix, |child, e| out.push((child.to_string(), e)));
+        out
+    }
+
+    /// Visit the direct children of `prefix` (`""` = root) in child-name
+    /// order, borrowing each entry in place.
     ///
     /// Non-root prefixes scan only the `"{prefix}/"` key range (the
     /// subtree is contiguous in the ordered map) instead of the whole
     /// store; the root has no such range in a flat path map, so it keeps
     /// the full iteration.
-    pub fn list(&self, prefix: &str) -> Vec<(String, &HdnsEntry)> {
+    pub fn for_each_child<'s>(&'s self, prefix: &str, mut visit: impl FnMut(&str, &'s HdnsEntry)) {
         let norm = prefix.trim_matches('/');
         if norm.is_empty() {
-            return self
-                .entries
-                .iter()
-                .filter(|(k, _)| !k.contains('/'))
-                .map(|(k, v)| (k.clone(), v))
-                .collect();
+            for (k, e) in &self.entries {
+                if !k.contains('/') {
+                    visit(k, e);
+                }
+            }
+            return;
         }
-        let depth = norm.matches('/').count() + 2;
         let range_prefix = format!("{norm}/");
-        self.entries
-            .range(range_prefix.clone()..)
-            .take_while(|(k, _)| k.starts_with(&range_prefix))
-            .filter(|(k, _)| k.matches('/').count() + 1 == depth)
-            .map(|(k, v)| {
-                let child = k.rsplit('/').next().expect("non-empty key").to_string();
-                (child, v)
-            })
-            .collect()
+        for (k, e) in self.entries.range(range_prefix.clone()..) {
+            let Some(child) = k.strip_prefix(&range_prefix) else {
+                break;
+            };
+            if !child.contains('/') {
+                visit(child, e);
+            }
+        }
     }
 
     fn check_parent(&self, path: &str) -> Result<(), HdnsError> {
@@ -253,10 +347,12 @@ impl HdnsStore {
                 self.entries.insert(p, HdnsEntry::context());
                 Ok(())
             }
-            Op::SetAttrs { path, attrs } => {
+            Op::ModifyAttrs { path, edits } => {
                 let p = normalize_path(path)?;
                 let entry = self.entries.get_mut(&p).ok_or(HdnsError::NotFound(p))?;
-                entry.attrs = attrs.clone();
+                for edit in edits {
+                    edit.apply(&mut entry.attrs);
+                }
                 Ok(())
             }
         }
@@ -411,24 +507,78 @@ mod tests {
     }
 
     #[test]
-    fn set_attrs() {
+    fn modify_attrs_edits_in_place() {
         let mut s = HdnsStore::new();
         s.apply(&Op::Bind {
             path: "e".into(),
-            entry: HdnsEntry::leaf(vec![]).with_attr("a", "1"),
+            entry: HdnsEntry::leaf(vec![])
+                .with_attr("Color", "red")
+                .with_attr("size", "xl"),
             overwrite: false,
         })
         .unwrap();
-        let mut attrs = BTreeMap::new();
-        attrs.insert("b".to_string(), "2".to_string());
-        s.apply(&Op::SetAttrs {
+        let edit = |edits: Vec<AttrEdit>| Op::ModifyAttrs {
             path: "e".into(),
-            attrs,
-        })
+            edits,
+        };
+        s.apply(&edit(vec![
+            AttrEdit::Add("COLOR".into(), vec!["blue".into()]),
+            AttrEdit::Add("note".into(), vec![]),
+            AttrEdit::Replace("SIZE".into(), vec!["s".into()]),
+        ]))
         .unwrap();
         let e = s.get("e").unwrap();
-        assert!(!e.attrs.contains_key("a"));
-        assert_eq!(e.attrs["b"], "2");
+        assert_eq!(
+            e.attrs["Color"],
+            vec!["red", "blue"],
+            "Add keeps the stored id"
+        );
+        assert_eq!(
+            e.attrs["note"],
+            Vec::<String>::new(),
+            "Add creates, even empty"
+        );
+        assert_eq!(e.attr("size"), Some(("SIZE", &["s".to_string()][..])));
+        assert!(!e.attrs.contains_key("size"), "Replace installs its own id");
+
+        s.apply(&edit(vec![
+            AttrEdit::RemoveValues("color".into(), vec!["red".into(), "green".into()]),
+            AttrEdit::Remove("Note".into()),
+            AttrEdit::RemoveValues("size".into(), vec!["s".into()]),
+        ]))
+        .unwrap();
+        let e = s.get("e").unwrap();
+        assert_eq!(e.attrs.len(), 1, "last value gone, attribute gone: {e:?}");
+        assert_eq!(e.attrs["Color"], vec!["blue"]);
+        assert_eq!(
+            s.apply(&Op::ModifyAttrs {
+                path: "ghost".into(),
+                edits: vec![AttrEdit::Remove("x".into())],
+            }),
+            Err(HdnsError::NotFound("ghost".into()))
+        );
+    }
+
+    #[test]
+    fn legacy_snapshot_with_json_string_attrs_restores() {
+        // The form snapshots took while attribute values were stored as
+        // JSON-array strings inside the JSON snapshot.
+        let legacy = br#"{"entries":{"ctx":{"value":[],"attrs":{},"is_context":true},"ctx/n1":{"value":[1,2],"attrs":{"os":"[\"linux\"]","tag":"[\"a\",\"b\"]","empty":"[]"},"is_context":false}},"ops_applied":7}"#;
+        let s = HdnsStore::restore(legacy).unwrap();
+        assert_eq!(s.ops_applied, 7);
+        let e = s.get("ctx/n1").unwrap();
+        assert_eq!(e.value, vec![1, 2]);
+        assert_eq!(e.attrs["os"], vec!["linux"]);
+        assert_eq!(e.attrs["tag"], vec!["a", "b"]);
+        assert!(e.attrs["empty"].is_empty());
+        assert!(s.get("ctx").unwrap().is_context);
+        // Re-snapshotting writes the typed form, which restores to the same.
+        let snap = s.snapshot();
+        assert!(String::from_utf8_lossy(&snap).contains(r#""os":["linux"]"#));
+        assert_eq!(HdnsStore::restore(&snap).unwrap().get("ctx/n1"), Some(e));
+        // A legacy value that is not a JSON array of strings is an error.
+        let bad = br#"{"entries":{"n":{"value":[],"attrs":{"os":"linux"},"is_context":false}},"ops_applied":1}"#;
+        assert!(HdnsStore::restore(bad).is_err());
     }
 
     #[test]

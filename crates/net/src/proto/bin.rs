@@ -1,13 +1,13 @@
 //! The v2 binary envelope codec.
 //!
 //! One [`Envelope`](super::Envelope) per frame: a request ID, a body tag,
-//! and a body whose hot-path shapes (lookup, bind/rebind, their
-//! outcomes) are encoded natively — fixed-width little-endian integers
-//! and length-prefixed strings/bytes — instead of through `serde_json`.
-//! Cold, deeply structured values (attribute sets, modification lists,
-//! JSON trees, references) fall back to their canonical JSON bytes inside
-//! a length-prefixed field, so the codec stays small while the hot path
-//! pays no text marshalling at all.
+//! and a body whose hot-path shapes (lookup, bind/rebind, attribute sets,
+//! search hits, their outcomes) are encoded natively — fixed-width
+//! little-endian integers and length-prefixed strings/bytes — instead of
+//! through `serde_json`. Cold, deeply structured values (modification
+//! lists, JSON trees, references) fall back to their canonical JSON bytes
+//! inside a length-prefixed field, so the codec stays small while the hot
+//! path pays no text marshalling at all.
 //!
 //! Decoding is defensive by construction: every length field is
 //! bounds-checked against the *remaining input* before any allocation,
@@ -15,7 +15,7 @@
 //! envelope are rejected. The proptests in `tests/proto_fuzz.rs` pin the
 //! no-panic guarantee on arbitrary and truncated input.
 
-use rndi_core::attrs::{AttrMod, Attributes};
+use rndi_core::attrs::{AttrMod, AttrValue, Attribute, Attributes};
 use rndi_core::error::{NamingError, Result};
 use rndi_core::op::ALL_OP_KINDS;
 use rndi_core::value::{Reference, StoredValue};
@@ -55,6 +55,28 @@ fn put_json<T: serde::Serialize>(out: &mut Vec<u8>, v: &T) -> Result<()> {
         serde_json::to_vec(v).map_err(|e| NamingError::service(format!("encode failed: {e}")))?;
     put_bytes(out, &bytes);
     Ok(())
+}
+
+/// An attribute set: a `u32` count, then per attribute its id, a `u32`
+/// value count and each value tagged `0` (string) or `1` (bytes).
+fn put_attrs(out: &mut Vec<u8>, attrs: &Attributes) {
+    put_u32(out, attrs.len() as u32);
+    for a in attrs.iter() {
+        put_str(out, &a.id);
+        put_u32(out, a.values.len() as u32);
+        for v in &a.values {
+            match v {
+                AttrValue::Str(s) => {
+                    out.push(0);
+                    put_str(out, s);
+                }
+                AttrValue::Bytes(b) => {
+                    out.push(1);
+                    put_bytes(out, b);
+                }
+            }
+        }
+    }
 }
 
 fn put_stored(out: &mut Vec<u8>, v: &StoredValue) -> Result<()> {
@@ -110,7 +132,7 @@ fn put_op(out: &mut Vec<u8>, op: &WireOp) -> Result<()> {
         None => out.push(0),
         Some(attrs) => {
             out.push(1);
-            put_json(out, attrs)?;
+            put_attrs(out, attrs);
         }
     }
     put_u16(out, op.meta.len() as u16);
@@ -198,7 +220,7 @@ fn put_outcome(out: &mut Vec<u8>, outcome: &WireOutcome) -> Result<()> {
         }
         WireOutcome::Attrs(attrs) => {
             out.push(5);
-            put_json(out, attrs)?;
+            put_attrs(out, attrs);
         }
         WireOutcome::Found(hits) => {
             out.push(6);
@@ -212,7 +234,7 @@ fn put_outcome(out: &mut Vec<u8>, outcome: &WireOutcome) -> Result<()> {
                         put_stored(out, v)?;
                     }
                 }
-                put_json(out, &h.attrs)?;
+                put_attrs(out, &h.attrs);
             }
         }
     }
@@ -346,7 +368,7 @@ pub fn encode_envelope(env: &Envelope) -> Result<Vec<u8>> {
             out.push(6);
             // Admin payloads are cold-path telemetry structures; they
             // cross as canonical JSON inside a length-prefixed field, same
-            // as attribute sets on the data path.
+            // as modification lists on the data path.
             match reply {
                 AdminReply::Metrics(snapshot) => {
                     out.push(0);
@@ -490,6 +512,27 @@ impl<'a> Reader<'a> {
             .map_err(|e| NamingError::service(format!("malformed envelope: bad {what}: {e}")))
     }
 
+    fn attrs(&mut self, what: &str) -> Result<Attributes> {
+        let count = self.u32(what)?;
+        let mut attrs = Attributes::new();
+        for _ in 0..count {
+            let mut attr = Attribute::new(self.str("attr id")?);
+            for _ in 0..self.u32("attr value count")? {
+                attr.values.push(match self.u8("attr value tag")? {
+                    0 => AttrValue::Str(self.str("attr value")?),
+                    1 => AttrValue::Bytes(self.bytes("attr value")?.to_vec()),
+                    other => {
+                        return Err(NamingError::service(format!(
+                            "malformed envelope: unknown attr value tag {other}"
+                        )))
+                    }
+                });
+            }
+            attrs.put(attr);
+        }
+        Ok(attrs)
+    }
+
     fn stored(&mut self) -> Result<StoredValue> {
         Ok(match self.u8("value tag")? {
             0 => StoredValue::Null,
@@ -582,7 +625,7 @@ impl<'a> Reader<'a> {
         let name = self.str("op name")?;
         let attrs = match self.u8("attrs flag")? {
             0 => None,
-            1 => Some(self.json::<Attributes>("attrs")?),
+            1 => Some(self.attrs("attrs")?),
             other => {
                 return Err(NamingError::service(format!(
                     "malformed envelope: bad attrs flag {other}"
@@ -680,7 +723,7 @@ impl<'a> Reader<'a> {
                 }
                 WireOutcome::Bindings(bindings)
             }
-            5 => WireOutcome::Attrs(self.json::<Attributes>("attrs outcome")?),
+            5 => WireOutcome::Attrs(self.attrs("attrs outcome")?),
             6 => {
                 let n = self.u32("hit count")? as usize;
                 let mut hits = Vec::new();
@@ -688,7 +731,7 @@ impl<'a> Reader<'a> {
                     hits.push(WireHit {
                         name: self.str("hit name")?,
                         value: self.opt_stored("hit value")?,
-                        attrs: self.json::<Attributes>("hit attrs")?,
+                        attrs: self.attrs("hit attrs")?,
                     });
                 }
                 WireOutcome::Found(hits)
@@ -923,6 +966,61 @@ mod tests {
             bin.len(),
             name.len()
         );
+    }
+
+    #[test]
+    fn attribute_sets_cross_in_binary() {
+        let mut attrs = Attributes::new().with("os", "linux").with("CPU", "16");
+        attrs.put(Attribute::new("Empty"));
+        attrs.put(
+            Attribute::new("cert")
+                .with(AttrValue::Bytes(vec![0, 255]))
+                .with("pem"),
+        );
+        let mut op = proto::encode_op(&NamingOp::bind_with_attrs(
+            "n".into(),
+            BoundValue::str("v"),
+            attrs.clone(),
+        ))
+        .unwrap();
+        op.meta.clear();
+        let hit = WireHit {
+            name: "n".into(),
+            value: None,
+            attrs: attrs.clone(),
+        };
+        let bodies = [
+            EnvelopeBody::Call {
+                op: Box::new(op),
+                deadline_ms: 1,
+                trace: None,
+            },
+            EnvelopeBody::Ok(WireOutcome::Attrs(attrs.clone())),
+            EnvelopeBody::Ok(WireOutcome::Found(vec![hit.clone(), hit])),
+        ];
+        for body in bodies {
+            let env = Envelope { req_id: 5, body };
+            let bytes = encode_envelope(&env).unwrap();
+            assert!(!bytes.contains(&b'{'), "no JSON inside: {bytes:?}");
+            assert_eq!(decode_envelope(&bytes).unwrap(), env);
+        }
+        // A hostile attribute count fails on the first missing row.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.push(3); // Ok
+        bytes.push(5); // Attrs
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_envelope(&bytes).is_err());
+        // So does an unknown value tag.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&[3, 5]);
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        put_str(&mut bytes, "a");
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.push(9);
+        let err = decode_envelope(&bytes).unwrap_err();
+        assert!(format!("{err}").contains("unknown attr value tag"), "{err}");
     }
 
     #[test]

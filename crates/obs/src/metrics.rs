@@ -77,6 +77,9 @@ pub mod names {
     /// Counter: `{key}` — environment properties whose value failed to
     /// parse and fell back to a default (config hygiene warning).
     pub const CONFIG_PARSE_ERRORS: &str = "rndi_config_parse_errors_total";
+    /// Counter: `{path}` — HDNS snapshots that could not be read back at
+    /// start-up and were moved aside to `<path>.corrupt`.
+    pub const HDNS_SNAPSHOT_CORRUPT: &str = "rndi_hdns_snapshot_corrupt_total";
     /// Gauge: `{endpoint}` — connections currently pooled by a
     /// `NetClient` for one endpoint.
     pub const NET_POOL_SIZE: &str = "rndi_net_pool_size";

@@ -15,9 +15,9 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use hdns::{HdnsEntry, HdnsError, HdnsEvent, HdnsRealm};
+use hdns::{AttrEdit, HdnsEntry, HdnsError, HdnsEvent, HdnsRealm};
 
-use rndi_core::attrs::{AttrMod, Attribute, Attributes};
+use rndi_core::attrs::{AttrMod, AttrValue, Attribute, Attributes};
 use rndi_core::context::{
     Binding, DirContext, NameClassPair, SearchControls, SearchItem, SearchScope,
 };
@@ -45,31 +45,63 @@ fn realm_err(e: hdns::realm::RealmError, name: &str) -> NamingError {
     }
 }
 
+/// The string values of an attribute. HDNS stores string attributes
+/// only; binary values are dropped on the way in.
+fn str_values(a: &Attribute) -> Vec<String> {
+    a.values
+        .iter()
+        .filter_map(|v| v.as_str())
+        .map(String::from)
+        .collect()
+}
+
 /// Encode a marshalled payload + `Attributes` into an HDNS entry (binds
 /// arrive wire-encoded from the pipeline's marshalling layer).
 fn to_entry(payload: Vec<u8>, attrs: &Attributes) -> HdnsEntry {
     let mut e = HdnsEntry::leaf(payload);
     for a in attrs.iter() {
-        let vals: Vec<&str> = a.values.iter().filter_map(|v| v.as_str()).collect();
-        e.attrs
-            .insert(a.id.clone(), serde_json::to_string(&vals).expect("strings"));
+        e.attrs.insert(a.id.clone(), str_values(a));
     }
     e
 }
 
-fn from_entry_attrs(e: &HdnsEntry) -> Result<Attributes> {
-    let mut out = Attributes::new();
-    for (id, json) in &e.attrs {
-        let vals: Vec<String> = serde_json::from_str(json).map_err(|err| {
-            NamingError::service(format!("stored attribute {id} is corrupt: {err}"))
-        })?;
-        let mut attr = Attribute::new(id.clone());
-        for v in vals {
-            attr = attr.with(v);
-        }
-        out.put(attr);
+fn to_attribute(id: &str, values: &[String]) -> Attribute {
+    Attribute {
+        id: id.to_string(),
+        values: values.iter().cloned().map(AttrValue::Str).collect(),
     }
-    Ok(out)
+}
+
+fn from_entry_attrs(e: &HdnsEntry) -> Attributes {
+    e.attrs
+        .iter()
+        .map(|(id, vals)| to_attribute(id, vals))
+        .collect()
+}
+
+/// Evaluate `filter` on the entry's stored attributes, in place.
+fn entry_matches(filter: &Filter, entry: &HdnsEntry) -> bool {
+    filter.matches_by(&|id: &str| {
+        entry
+            .attr(id)
+            .map(|(_, vals)| vals.iter().map(String::as_str))
+    })
+}
+
+/// The modifications as HDNS attribute edits, with the same effect on
+/// the stored strings as [`AttrMod::apply`] on the decoded set.
+fn to_edits(mods: &[AttrMod]) -> Vec<AttrEdit> {
+    mods.iter()
+        .filter_map(|m| match m {
+            // Adding no values leaves the set as it is (not even an
+            // empty attribute is created).
+            AttrMod::Add(a) if a.values.is_empty() => None,
+            AttrMod::Add(a) => Some(AttrEdit::Add(a.id.clone(), str_values(a))),
+            AttrMod::Replace(a) => Some(AttrEdit::Replace(a.id.clone(), str_values(a))),
+            AttrMod::Remove(id) => Some(AttrEdit::Remove(id.clone())),
+            AttrMod::RemoveValues(a) => Some(AttrEdit::RemoveValues(a.id.clone(), str_values(a))),
+        })
+        .collect()
 }
 
 fn from_entry_value(e: &HdnsEntry) -> BoundValue {
@@ -185,44 +217,72 @@ impl HdnsProviderContext {
         self.drain_events();
     }
 
-    fn search_recursive(
+    /// Append the hits under `base` to `out` in pre-order: a context's
+    /// subtree follows the context, before its next sibling. Each level
+    /// is one in-place visit of the replica's store that evaluates the
+    /// filter on the stored attributes and builds output only for hits;
+    /// subcontexts are descended once the visit has released the replica.
+    fn search_level(
         &self,
         base: &str,
         rel: &CompositeName,
         filter: &Filter,
         controls: &SearchControls,
         out: &mut Vec<SearchItem>,
-    ) -> Result<()> {
-        for (child, entry) in self.realm.list(self.node, base) {
-            if controls.count_limit > 0 && out.len() >= controls.count_limit {
-                return Ok(());
+    ) {
+        enum Step {
+            Hit(SearchItem),
+            Descend(String),
+        }
+        let limit = match controls.count_limit {
+            0 => usize::MAX,
+            n => n.saturating_sub(out.len()),
+        };
+        let subtree = controls.scope == SearchScope::Subtree;
+        let mut steps = Vec::new();
+        let mut hits = 0;
+        self.realm.for_each_child(self.node, base, |child, entry| {
+            // Once this level alone fills the limit, nothing later in it
+            // (or below it) can be returned.
+            if hits >= limit {
+                return;
             }
-            let rel_name = rel.child(&child);
-            let attrs = from_entry_attrs(&entry)?;
-            if filter.matches(&attrs) {
+            if entry_matches(filter, entry) {
+                hits += 1;
                 let attrs = match &controls.return_attrs {
-                    Some(ids) => {
-                        let ids: Vec<&str> = ids.iter().map(|s| s.as_str()).collect();
-                        attrs.project(&ids)
-                    }
-                    None => attrs,
+                    Some(ids) => ids
+                        .iter()
+                        .filter_map(|id| entry.attr(id))
+                        .map(|(id, vals)| to_attribute(id, vals))
+                        .collect(),
+                    None => from_entry_attrs(entry),
                 };
-                out.push(SearchItem {
-                    name: rel_name.to_string(),
-                    value: controls.return_values.then(|| from_entry_value(&entry)),
+                steps.push(Step::Hit(SearchItem {
+                    name: rel.child(child).to_string(),
+                    value: controls.return_values.then(|| from_entry_value(entry)),
                     attrs,
-                });
+                }));
             }
-            if controls.scope == SearchScope::Subtree && entry.is_context {
-                let child_base = if base.is_empty() {
-                    child.clone()
-                } else {
-                    format!("{base}/{child}")
-                };
-                self.search_recursive(&child_base, &rel_name, filter, controls, out)?;
+            if subtree && entry.is_context {
+                steps.push(Step::Descend(child.to_string()));
+            }
+        });
+        for step in steps {
+            if controls.count_limit > 0 && out.len() >= controls.count_limit {
+                return;
+            }
+            match step {
+                Step::Hit(item) => out.push(item),
+                Step::Descend(child) => {
+                    let child_base = if base.is_empty() {
+                        child.clone()
+                    } else {
+                        format!("{base}/{child}")
+                    };
+                    self.search_level(&child_base, &rel.child(child), filter, controls, out);
+                }
             }
         }
-        Ok(())
     }
 }
 
@@ -276,19 +336,18 @@ impl HdnsProviderContext {
             }
             self.path(name)?
         };
-        Ok(self
-            .realm
-            .list(self.node, &prefix)
-            .into_iter()
-            .map(|(n, e)| NameClassPair {
-                name: n,
+        let mut out = Vec::new();
+        self.realm.for_each_child(self.node, &prefix, |n, e| {
+            out.push(NameClassPair {
+                name: n.to_string(),
                 class_name: if e.is_context {
                     "context".to_string()
                 } else {
-                    from_entry_value(&e).class_name().to_string()
+                    from_entry_value(e).class_name().to_string()
                 },
             })
-            .collect())
+        });
+        Ok(out)
     }
 
     fn list_bindings(&self, name: &CompositeName) -> Result<Vec<Binding>> {
@@ -300,15 +359,14 @@ impl HdnsProviderContext {
             }
             self.path(name)?
         };
-        Ok(self
-            .realm
-            .list(self.node, &prefix)
-            .into_iter()
-            .map(|(n, e)| Binding {
-                name: n,
-                value: from_entry_value(&e),
+        let mut out = Vec::new();
+        self.realm.for_each_child(self.node, &prefix, |n, e| {
+            out.push(Binding {
+                name: n.to_string(),
+                value: from_entry_value(e),
             })
-            .collect())
+        });
+        Ok(out)
     }
 
     fn create_subcontext(&self, name: &CompositeName) -> Result<()> {
@@ -342,27 +400,17 @@ impl HdnsProviderContext {
             .realm
             .lookup(self.node, &path)
             .ok_or_else(|| NamingError::not_found(&path))?;
-        from_entry_attrs(&entry)
+        Ok(from_entry_attrs(&entry))
     }
 
+    /// Atomic (§5.2): the edits replicate as one op, applied by every
+    /// replica to the entry as it stands, so concurrent modifications of
+    /// one entry compose.
     fn modify_attributes(&self, name: &CompositeName, mods: &[AttrMod]) -> Result<()> {
         let path = self.path(name)?;
-        let entry = self
-            .realm
-            .lookup(self.node, &path)
-            .ok_or_else(|| NamingError::not_found(&path))?;
-        let mut attrs = from_entry_attrs(&entry)?;
-        for m in mods {
-            m.apply(&mut attrs);
-        }
-        let mut map = std::collections::BTreeMap::new();
-        for a in attrs.iter() {
-            let vals: Vec<&str> = a.values.iter().filter_map(|v| v.as_str()).collect();
-            map.insert(a.id.clone(), serde_json::to_string(&vals).expect("strings"));
-        }
         let r = self
             .realm
-            .set_attrs(self.node, &path, map)
+            .modify_attrs(self.node, &path, to_edits(mods))
             .map_err(|e| realm_err(e, &path));
         self.drain_events();
         r
@@ -407,7 +455,7 @@ impl HdnsProviderContext {
             self.path(name)?
         };
         let mut out = Vec::new();
-        self.search_recursive(&base, &CompositeName::empty(), filter, controls, &mut out)?;
+        self.search_level(&base, &CompositeName::empty(), filter, controls, &mut out);
         Ok(out)
     }
 }
@@ -519,6 +567,7 @@ impl UrlContextFactory for HdnsFactory {
 mod tests {
     use super::*;
     use groupcast::StackConfig;
+    use proptest::prelude::*;
     use rndi_core::context::{Context, ContextExt};
     use rndi_core::value::Reference;
 
@@ -705,5 +754,311 @@ mod tests {
         .unwrap();
         let attrs = b.get_attributes(&"m".into()).unwrap();
         assert!(attrs.contains("state") && attrs.contains("note"));
+    }
+
+    /// A namespace whose key order differs from the search's pre-order:
+    /// `a-b` sorts between `a` and `a/c` as a path, but `a`'s subtree
+    /// comes first in a search.
+    fn nested_namespace() -> Pipeline {
+        let (a, _) = setup();
+        let kind = |k: &str| common::attrs(&[("kind", k)]);
+        a.create_subcontext(&"a".into()).unwrap();
+        a.modify_attributes(
+            &"a".into(),
+            &[AttrMod::Replace(Attribute::single("Kind", "x"))],
+        )
+        .unwrap();
+        a.bind_with_attrs(&"a-b".into(), BoundValue::str("ab"), kind("x"))
+            .unwrap();
+        a.bind_with_attrs(
+            &"a/c".into(),
+            BoundValue::str("c"),
+            common::attrs(&[("kind", "X"), ("note", "n1"), ("cpu", "8")]),
+        )
+        .unwrap();
+        a.create_subcontext(&"a/d".into()).unwrap();
+        a.modify_attributes(
+            &"a/d".into(),
+            &[AttrMod::Add(Attribute::single("kind", "y"))],
+        )
+        .unwrap();
+        a.bind_with_attrs(&"a/d/e".into(), BoundValue::str("e"), kind("x"))
+            .unwrap();
+        a.bind_with_attrs(&"b".into(), BoundValue::I64(7), kind("x"))
+            .unwrap();
+        a
+    }
+
+    fn names(hits: &[SearchItem]) -> Vec<&str> {
+        hits.iter().map(|h| h.name.as_str()).collect()
+    }
+
+    #[test]
+    fn subtree_search_is_pre_order_and_honours_count_limit() {
+        let ctx = nested_namespace();
+        let search = |base: &str, scope, count_limit| {
+            ctx.search(
+                &CompositeName::parse(base).unwrap(),
+                &Filter::parse("(kind=x)").unwrap(),
+                &SearchControls {
+                    scope,
+                    count_limit,
+                    ..Default::default()
+                },
+            )
+            .unwrap()
+        };
+        let all = search("", SearchScope::Subtree, 0);
+        assert_eq!(names(&all), ["a", "a/c", "a/d/e", "a-b", "b"]);
+        for limit in 1..=5 {
+            let cut = search("", SearchScope::Subtree, limit);
+            assert_eq!(names(&cut), names(&all)[..limit], "count_limit {limit}");
+        }
+        assert_eq!(
+            names(&search("", SearchScope::OneLevel, 0)),
+            ["a", "a-b", "b"]
+        );
+        assert_eq!(names(&search("a", SearchScope::OneLevel, 0)), ["c"]);
+        assert_eq!(names(&search("a", SearchScope::Subtree, 0)), ["c", "d/e"]);
+        assert_eq!(names(&search("a", SearchScope::Subtree, 1)), ["c"]);
+        // Without return_values, no values; every stored attribute comes back.
+        assert!(all.iter().all(|h| h.value.is_none()));
+        assert_eq!(
+            all[1].attrs,
+            common::attrs(&[("kind", "X"), ("note", "n1"), ("cpu", "8")])
+        );
+        assert_eq!(all[0].attrs.get("KIND").unwrap().id, "Kind");
+    }
+
+    #[test]
+    fn search_projects_return_attrs_and_returns_values() {
+        let ctx = nested_namespace();
+        let hits = ctx
+            .search(
+                &CompositeName::empty(),
+                &Filter::parse("(|(note=*)(cpu>=8)(kind=y))").unwrap(),
+                &SearchControls {
+                    scope: SearchScope::Subtree,
+                    return_attrs: Some(vec!["NOTE".into(), "Kind".into(), "missing".into()]),
+                    return_values: true,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+        assert_eq!(names(&hits), ["a/c", "a/d"]);
+        assert_eq!(hits[0].value, Some(BoundValue::str("c")));
+        assert_eq!(
+            hits[1].value,
+            Some(BoundValue::Null),
+            "contexts carry no value"
+        );
+        assert_eq!(
+            hits[0].attrs,
+            common::attrs(&[("note", "n1"), ("kind", "X")]),
+            "projected to the requested ids that exist"
+        );
+        assert_eq!(
+            hits[0].attrs.get("note").unwrap().id,
+            "note",
+            "stored case kept"
+        );
+        assert_eq!(hits[1].attrs, common::attrs(&[("kind", "y")]));
+        let none = ctx
+            .search(
+                &CompositeName::empty(),
+                &Filter::parse("(kind=x)").unwrap(),
+                &SearchControls {
+                    return_attrs: Some(vec![]),
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+        assert_eq!(names(&none), ["a", "a-b", "b"]);
+        assert!(none.iter().all(|h| h.attrs.is_empty()));
+    }
+
+    #[test]
+    fn search_through_a_mount_continues() {
+        let ctx = nested_namespace();
+        ctx.bind(
+            &"m".into(),
+            BoundValue::Reference(Reference::url("ldap://dir/o=grid")),
+        )
+        .unwrap();
+        for base in ["m", "m/x/y"] {
+            let err = ctx
+                .search(
+                    &CompositeName::parse(base).unwrap(),
+                    &Filter::always(),
+                    &SearchControls::default(),
+                )
+                .unwrap_err();
+            match err {
+                NamingError::Continue { remaining, .. } => {
+                    assert_eq!(remaining, CompositeName::parse(base).unwrap().suffix(1))
+                }
+                other => panic!("{base}: expected Continue, got {other:?}"),
+            }
+        }
+        // A mount inside the searched tree is a plain leaf hit.
+        let hits = ctx
+            .search(
+                &CompositeName::empty(),
+                &Filter::always(),
+                &SearchControls::default(),
+            )
+            .unwrap();
+        assert_eq!(names(&hits), ["a", "a-b", "b", "m"]);
+    }
+
+    #[test]
+    fn concurrent_modifies_of_one_attribute_lose_nothing() {
+        let (a, b) = setup();
+        a.bind_with_attrs(
+            &"shared".into(),
+            BoundValue::Null,
+            common::attrs(&[("tag", "seed")]),
+        )
+        .unwrap();
+        const EACH: usize = 100;
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let writers: Vec<_> = [(a.clone(), "a"), (b.clone(), "b")]
+            .into_iter()
+            .map(|(ctx, who)| {
+                let start = start.clone();
+                std::thread::spawn(move || {
+                    start.wait();
+                    for i in 0..EACH {
+                        ctx.modify_attributes(
+                            &"shared".into(),
+                            &[AttrMod::Add(Attribute::single("TAG", format!("{who}{i}")))],
+                        )
+                        .unwrap();
+                    }
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().unwrap();
+        }
+        for ctx in [&a, &b] {
+            let tag = ctx.get_attributes(&"shared".into()).unwrap();
+            let tag = tag.get("tag").unwrap();
+            assert_eq!(tag.id, "tag", "added values join the stored attribute");
+            assert_eq!(tag.values.len(), 2 * EACH + 1, "every added value survives");
+            for who in ["a", "b"] {
+                for i in 0..EACH {
+                    assert!(tag.contains_str(&format!("{who}{i}")), "{who}{i} lost");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn modifications_match_the_decoded_attribute_semantics() {
+        let (a, _) = setup();
+        let start = Attributes::new()
+            .with("Color", "red")
+            .with("size", "xl")
+            .with("gone", "1");
+        a.bind_with_attrs(&"m".into(), BoundValue::Null, start.clone())
+            .unwrap();
+        let mods = [
+            AttrMod::Add(Attribute::single("COLOR", "blue")),
+            AttrMod::Add(Attribute::new("nothing")),
+            AttrMod::Add(Attribute::new("bin").with(AttrValue::Bytes(vec![1]))),
+            AttrMod::Replace(Attribute::single("SIZE", "s")),
+            AttrMod::RemoveValues(Attribute::single("color", "red")),
+            AttrMod::RemoveValues(Attribute::single("gone", "1")),
+            AttrMod::Remove("nope".into()),
+        ];
+        a.modify_attributes(&"m".into(), &mods).unwrap();
+        // What the attribute set itself does, less the binary values HDNS
+        // does not store.
+        let mut want = start;
+        for m in &mods {
+            m.apply(&mut want);
+        }
+        let want: Attributes = want
+            .iter()
+            .map(|attr| Attribute {
+                id: attr.id.clone(),
+                values: attr
+                    .values
+                    .iter()
+                    .filter(|v| v.as_str().is_some())
+                    .cloned()
+                    .collect(),
+            })
+            .collect();
+        let got = a.get_attributes(&"m".into()).unwrap();
+        assert_eq!(got, want);
+        assert_eq!(got.get("size").unwrap().id, "SIZE");
+        assert!(got.contains("bin") && !got.contains("nothing") && !got.contains("gone"));
+        assert!(matches!(
+            a.modify_attributes(&"ghost".into(), &mods),
+            Err(NamingError::NameNotFound { .. })
+        ));
+    }
+
+    fn arb_id() -> impl Strategy<Value = String> {
+        // A few ids in several cases, so filters and stored maps differ
+        // in case and a map can hold two case variants of one id.
+        (0usize..6).prop_map(|i| ["os", "OS", "Os", "cpu", "CPU", "tag"][i].to_string())
+    }
+
+    fn arb_value() -> impl Strategy<Value = String> {
+        proptest::string::string_regex("[ab1-3 ]{0,3}").expect("valid regex")
+    }
+
+    fn arb_filter() -> impl Strategy<Value = Filter> {
+        let substring = (
+            proptest::option::of(arb_value()),
+            proptest::collection::vec(arb_value(), 0..2),
+            proptest::option::of(arb_value()),
+        )
+            .prop_map(
+                |(initial, any, final_)| rndi_core::filter::SubstringPattern {
+                    initial,
+                    any,
+                    final_,
+                },
+            );
+        let leaf = prop_oneof![
+            arb_id().prop_map(Filter::Present),
+            (arb_id(), arb_value()).prop_map(|(a, v)| Filter::Eq(a, v)),
+            (arb_id(), arb_value()).prop_map(|(a, v)| Filter::Approx(a, v)),
+            (arb_id(), arb_value()).prop_map(|(a, v)| Filter::Ge(a, v)),
+            (arb_id(), arb_value()).prop_map(|(a, v)| Filter::Le(a, v)),
+            (arb_id(), substring).prop_map(|(a, p)| Filter::Substring(a, p)),
+        ];
+        leaf.prop_recursive(3, 16, 3, |inner| {
+            prop_oneof![
+                proptest::collection::vec(inner.clone(), 0..3).prop_map(Filter::And),
+                proptest::collection::vec(inner.clone(), 1..3).prop_map(Filter::Or),
+                inner.prop_map(|f| Filter::Not(Box::new(f))),
+            ]
+        })
+    }
+
+    proptest! {
+        /// The in-place evaluation a search runs on a stored entry agrees
+        /// with evaluating the decoded attribute set, empty-valued
+        /// attributes and case-variant ids included.
+        #[test]
+        fn in_place_filter_matches_decoded_attributes(
+            filter in arb_filter(),
+            stored in proptest::collection::vec(
+                (arb_id(), proptest::collection::vec(arb_value(), 0..3)),
+                0..4
+            )
+        ) {
+            let mut entry = HdnsEntry::leaf(Vec::new());
+            entry.attrs.extend(stored);
+            prop_assert_eq!(
+                entry_matches(&filter, &entry),
+                filter.matches(&from_entry_attrs(&entry))
+            );
+        }
     }
 }
