@@ -16,7 +16,6 @@ use rndi_core::context::ContextExt;
 use rndi_core::env::{keys, Environment};
 use rndi_core::op::NamingOp;
 use rndi_core::spi::{ProviderBackend, ProviderPipeline};
-use rndi_providers::common::RlusClock;
 use rndi_providers::{HdnsProviderContext, JiniProviderContext};
 
 fn jini_setup(strict: bool) -> (Registrar, Arc<ProviderPipeline<JiniProviderContext>>) {
@@ -26,12 +25,7 @@ fn jini_setup(strict: bool) -> (Registrar, Arc<ProviderPipeline<JiniProviderCont
         keys::JINI_STRICT_BIND,
         if strict { "true" } else { "false" },
     );
-    let ctx = JiniProviderContext::new(
-        registrar.clone(),
-        Arc::new(RlusClock(clock as Arc<dyn rlus::Clock>)),
-        env,
-        "bench",
-    );
+    let ctx = JiniProviderContext::new(registrar.clone(), clock, env, "bench");
     (registrar, ctx)
 }
 

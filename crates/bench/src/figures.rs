@@ -78,14 +78,7 @@ fn jini_backend(
         env_keys::JINI_STRICT_BIND,
         if strict { "true" } else { "false" },
     );
-    let ctx = rndi_providers::JiniProviderContext::new(
-        registrar.clone(),
-        Arc::new(rndi_providers::common::RlusClock(
-            clock as Arc<dyn rlus::Clock>,
-        )),
-        env,
-        "bench",
-    );
+    let ctx = rndi_providers::JiniProviderContext::new(registrar.clone(), clock, env, "bench");
     (registrar, ctx)
 }
 
@@ -226,9 +219,7 @@ pub fn ablation_proxy(config: &SweepConfig) -> Vec<Series> {
         let env = Environment::new().with(env_keys::JINI_STRICT_BIND, "true");
         let ctx = rndi_providers::JiniProviderContext::with_proxy(
             registrar,
-            Arc::new(rndi_providers::common::RlusClock(
-                clock as Arc<dyn rlus::Clock>,
-            )),
+            clock,
             env,
             "proxy-bench",
             Some(proxy),
@@ -597,13 +588,7 @@ fn federation_deployment() -> FederationDeployment {
 }
 
 fn federation_deployment_with_env(env: Environment) -> FederationDeployment {
-    struct ZeroClock;
-    impl rndi_providers::common::MsClock for ZeroClock {
-        fn now_ms(&self) -> u64 {
-            0
-        }
-    }
-    let clock: Arc<dyn rndi_providers::common::MsClock> = Arc::new(ZeroClock);
+    let clock: Arc<dyn rndi_obs::clock::Clock> = rndi_obs::clock::ManualClock::new();
 
     // DNS: TXT at the anchor points at the HDNS layer.
     let dns_server = minidns::AuthServer::new();

@@ -15,9 +15,10 @@
 //! * [`QuarantineTable`] — time-gated re-admission of flapping nodes;
 //! * [`bridge`] — converged beliefs → [`groupcast::View`] proposals
 //!   (lineage-anchored candidate, strict-majority quorum);
-//! * [`ClusterNode`] — one booted member: `NetServer` + HDNS replica +
-//!   gossip pacer, with membership exported through `Admin::Health` and
-//!   the node's metrics registry.
+//! * [`ClusterNode`] — one booted member: a `NetServer` serving the HDNS
+//!   provider's pipeline over the node's replica, plus the gossip pacer,
+//!   with membership exported through `Admin::Health` and the node's
+//!   metrics registry.
 //!
 //! Knobs (`rndi.cluster.*`): `seed`, `gossip-interval-ms`,
 //! `phi-threshold`, `quarantine-ms` — see [`ClusterConfig`].

@@ -1,8 +1,9 @@
 //! [`ClusterNode`]: one member of the TCP membership plane.
 //!
 //! Each node hosts a [`NetServer`] whose v2 envelope protocol carries
-//! three planes over the *same* listener: naming calls (a lean
-//! [`ProviderBackend`] over the local HDNS replica), admin telemetry
+//! three planes over the *same* listener: naming calls (the HDNS
+//! provider's standard pipeline over the local replica, so the full
+//! `DirContext`), admin telemetry
 //! (scrapes see membership through `Admin::Health`), and the new
 //! `Gossip` family — membership Syncs plus `Group`-wrapped
 //! [`groupcast::Wire`] frames that carry the replication protocol
@@ -25,14 +26,16 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use groupcast::{Addr, MemberCore, OrderingMode, Outgoing, SendError, Wire};
-use hdns::{HdnsEntry, HdnsNode, Op, OpOutcome as HdnsOutcome, ReplicaChannel, Ticket};
-use rndi_core::context::NameClassPair;
+use hdns::{
+    HdnsEntry, HdnsEvent, HdnsNode, Op, OpOutcome as HdnsOutcome, RealmError, Replica,
+    ReplicaChannel,
+};
 use rndi_core::error::{NamingError, Result};
-use rndi_core::op::{NamingOp, OpKind, OpOutcome};
-use rndi_core::spi::ProviderBackend;
 use rndi_net::proto::{GossipReply, GossipRequest, MemberEntry, MemberState, ViewSummary};
 use rndi_net::{GossipHandler, MembershipStats, NetClient, NetServer, ServerConfig};
 use rndi_obs::metrics::{names, Registry};
+use rndi_obs::TraceCtx;
+use rndi_providers::hdns::HdnsProviderContext;
 
 use crate::bridge::{self, addr_of};
 use crate::config::ClusterConfig;
@@ -43,7 +46,7 @@ use crate::membership::MembershipTable;
 /// ordered self-delivery.
 const WRITE_BUDGET: Duration = Duration::from_millis(3_000);
 
-/// How long the *served* backend waits. Backend calls run inline on a
+/// How long a *served* write waits. Provider calls run inline on a
 /// server shard's event loop, so this must stay well under the phi
 /// suspect bound (~18× the gossip interval at the default threshold) —
 /// a stalled wait must surface as a retryable error to the remote
@@ -285,27 +288,21 @@ impl GossipHandler for Handler {
     }
 }
 
-/// The lean naming backend each node hosts: reads answer from the local
-/// replica ("nearest node" semantics); writes replicate through the
-/// group and only acknowledge after ordered self-delivery — and only
+/// The node's HDNS replica as the provider sees it: reads answer from
+/// the local store ("nearest node" semantics); writes replicate through
+/// the group and only acknowledge after ordered self-delivery — and only
 /// while this node sits in the primary partition.
-struct ClusterBackend {
-    name: String,
+struct NodeReplica {
     inner: Arc<Mutex<Inner>>,
     hdns: Arc<Mutex<HdnsNode<TcpChannel>>>,
 }
 
-impl ClusterBackend {
-    fn path(op: &NamingOp) -> Result<String> {
-        if op.name.is_empty() {
-            return Err(NamingError::invalid_name("", "empty name"));
-        }
-        Ok(op.name.components().join("/"))
-    }
-
-    fn write(&self, op: Op) -> Result<()> {
+impl NodeReplica {
+    /// The write gate, then submit, then poll for the ordered outcome
+    /// until `budget` runs out.
+    fn write_within(&self, op: Op, budget: Duration) -> std::result::Result<(), RealmError> {
         if !self.inner.lock().writes_allowed() {
-            return Err(NamingError::service(
+            return Err(RealmError::Unavailable(
                 "not in the primary partition: writes refused",
             ));
         }
@@ -313,92 +310,47 @@ impl ClusterBackend {
             .hdns
             .lock()
             .submit(op)
-            .map_err(|e| NamingError::service(format!("replicate: {e}")))?;
-        let deadline = Instant::now() + BACKEND_WRITE_BUDGET;
+            .map_err(|_| RealmError::Unavailable("replica is not in the group"))?;
+        let deadline = Instant::now() + budget;
         loop {
             {
                 let mut node = self.hdns.lock();
                 node.process();
                 match node.outcome(ticket) {
                     HdnsOutcome::Pending => {}
-                    HdnsOutcome::Done(Ok(())) => return Ok(()),
-                    HdnsOutcome::Done(Err(e)) => {
-                        return Err(NamingError::service(format!("hdns: {e}")))
+                    HdnsOutcome::Done(r) => return r.map_err(RealmError::from),
+                    HdnsOutcome::Lost => {
+                        return Err(RealmError::Unavailable("replica lost the op"))
                     }
-                    HdnsOutcome::Lost => return Err(NamingError::service("replica lost the op")),
                 }
             }
             if Instant::now() >= deadline {
-                return Err(NamingError::service("write not ordered within budget"));
+                return Err(RealmError::Unavailable("write not ordered within budget"));
             }
             std::thread::sleep(Duration::from_millis(1));
         }
     }
 }
 
-impl ProviderBackend for ClusterBackend {
-    fn execute(&self, op: &NamingOp) -> Result<OpOutcome> {
-        match op.kind {
-            OpKind::Lookup => {
-                let path = Self::path(op)?;
-                let entry = self
-                    .hdns
-                    .lock()
-                    .lookup(&path)
-                    .ok_or_else(|| NamingError::not_found(&path))?;
-                if entry.is_context {
-                    return Err(NamingError::service(format!("{path}: is a context")));
-                }
-                Ok(OpOutcome::Wire(entry.value))
-            }
-            OpKind::List => {
-                let prefix = if op.name.is_empty() {
-                    String::new()
-                } else {
-                    Self::path(op)?
-                };
-                let pairs = self
-                    .hdns
-                    .lock()
-                    .list(&prefix)
-                    .into_iter()
-                    .map(|(name, e)| NameClassPair {
-                        name,
-                        class_name: if e.is_context { "context" } else { "object" }.to_string(),
-                    })
-                    .collect();
-                Ok(OpOutcome::Names(pairs))
-            }
-            OpKind::Bind | OpKind::Rebind => {
-                let (payload, _) = op.wire_value()?;
-                self.write(Op::Bind {
-                    path: Self::path(op)?,
-                    entry: HdnsEntry::leaf(payload),
-                    overwrite: op.kind == OpKind::Rebind,
-                })?;
-                Ok(OpOutcome::Done)
-            }
-            OpKind::Unbind => {
-                self.write(Op::Unbind {
-                    path: Self::path(op)?,
-                })?;
-                Ok(OpOutcome::Done)
-            }
-            OpKind::CreateSubcontext => {
-                self.write(Op::CreateContext {
-                    path: Self::path(op)?,
-                })?;
-                Ok(OpOutcome::Done)
-            }
-            _ => Err(NamingError::unsupported(format!(
-                "cluster backend: {:?}",
-                op.kind
-            ))),
-        }
+impl Replica for NodeReplica {
+    fn write(&self, op: Op, _trace: Option<TraceCtx>) -> std::result::Result<(), RealmError> {
+        self.write_within(op, BACKEND_WRITE_BUDGET)
     }
 
-    fn provider_id(&self) -> String {
-        format!("cluster:{}", self.name)
+    fn lookup(&self, path: &str) -> Option<HdnsEntry> {
+        self.hdns.lock().lookup(path)
+    }
+
+    fn for_each_child(&self, prefix: &str, visit: &mut dyn FnMut(&str, &HdnsEntry)) {
+        self.hdns.lock().for_each_child(prefix, visit)
+    }
+
+    fn take_events(&self) -> Vec<HdnsEvent> {
+        self.hdns.lock().take_events()
+    }
+
+    fn pump(&self) {
+        self.hdns.lock().process()
     }
 }
 
@@ -407,7 +359,7 @@ pub struct ClusterNode {
     config: ClusterConfig,
     endpoint: String,
     inner: Arc<Mutex<Inner>>,
-    hdns: Arc<Mutex<HdnsNode<TcpChannel>>>,
+    replica: Arc<NodeReplica>,
     server: Option<NetServer>,
     registry: Arc<Registry>,
     stop: Arc<std::sync::atomic::AtomicBool>,
@@ -436,15 +388,15 @@ impl ClusterNode {
         let channel = TcpChannel {
             inner: inner.clone(),
         };
-        let hdns = Arc::new(Mutex::new(HdnsNode::new(channel, None)));
-        let registry = Arc::new(Registry::new());
-        let backend = Arc::new(ClusterBackend {
-            name: config.name.clone(),
+        let replica = Arc::new(NodeReplica {
             inner: inner.clone(),
-            hdns: hdns.clone(),
+            hdns: Arc::new(Mutex::new(HdnsNode::new(channel, None))),
         });
+        let registry = Arc::new(Registry::new());
+        let pipeline = HdnsProviderContext::for_replica(replica.clone(), &config.name, &config.env);
+        let provider = pipeline.backend().clone();
         let server = NetServer::with_registry(
-            backend,
+            pipeline,
             ServerConfig::from_env(&config.env)?,
             registry.clone(),
         )?;
@@ -460,7 +412,9 @@ impl ClusterNode {
             i.engine.table.set_my_endpoint(&endpoint);
             i.now_names();
         }
-        hdns.lock()
+        replica
+            .hdns
+            .lock()
             .connect(&config.group)
             .map_err(|e| NamingError::service(format!("join group: {e}")))?;
         if config.seed.is_none() {
@@ -473,7 +427,6 @@ impl ClusterNode {
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let pacer = {
             let inner = inner.clone();
-            let hdns = hdns.clone();
             let stop = stop.clone();
             let registry = registry.clone();
             let membership = membership.clone();
@@ -483,7 +436,7 @@ impl ClusterNode {
                 .name(format!("cluster-pacer-{}", config.name))
                 .spawn(move || {
                     pace(
-                        inner, hdns, stop, registry, membership, config, endpoint, epoch,
+                        inner, provider, stop, registry, membership, config, endpoint, epoch,
                     )
                 })
                 .map_err(|e| NamingError::service(format!("spawn pacer: {e}")))?
@@ -493,7 +446,7 @@ impl ClusterNode {
             config,
             endpoint,
             inner,
-            hdns,
+            replica,
             server: Some(server),
             registry,
             stop,
@@ -531,48 +484,18 @@ impl ClusterNode {
 
     /// Entries in the local replica store.
     pub fn entry_count(&self) -> usize {
-        self.hdns.lock().entry_count()
+        self.replica.hdns.lock().entry_count()
     }
 
     /// Replica-local read.
     pub fn lookup(&self, path: &str) -> Option<HdnsEntry> {
-        self.hdns.lock().lookup(path)
+        self.replica.lookup(path)
     }
 
-    /// Submit a replicated write (primary partition only). The returned
-    /// ticket resolves via [`ClusterNode::outcome`] once the op's ordered
-    /// self-delivery lands.
-    pub fn submit(&self, op: Op) -> std::result::Result<Ticket, SendError> {
-        if !self.inner.lock().writes_allowed() {
-            return Err(SendError::NotConnected);
-        }
-        self.hdns.lock().submit(op)
-    }
-
-    /// Check (and, when resolved, consume) a ticket.
-    pub fn outcome(&self, ticket: Ticket) -> HdnsOutcome {
-        let mut node = self.hdns.lock();
-        node.process();
-        node.outcome(ticket)
-    }
-
-    /// Submit and wait for the ordered outcome (test/demo convenience).
-    pub fn write_sync(&self, op: Op) -> HdnsOutcome {
-        let ticket = match self.submit(op) {
-            Ok(t) => t,
-            Err(_) => return HdnsOutcome::Lost,
-        };
-        let deadline = Instant::now() + WRITE_BUDGET;
-        loop {
-            match self.outcome(ticket) {
-                HdnsOutcome::Pending => {}
-                resolved => return resolved,
-            }
-            if Instant::now() >= deadline {
-                return HdnsOutcome::Pending;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
+    /// Replicate a write and wait for its ordered outcome (primary
+    /// partition only) — the served write path with a longer budget.
+    pub fn write_sync(&self, op: Op) -> std::result::Result<(), RealmError> {
+        self.replica.write_within(op, WRITE_BUDGET)
     }
 
     /// Fault injection: refuse all exchange with `endpoints` (apply the
@@ -610,7 +533,7 @@ impl ClusterNode {
         if let Some(p) = self.pacer.take() {
             let _ = p.join();
         }
-        self.hdns.lock().shutdown();
+        self.replica.hdns.lock().shutdown();
         if let Some(s) = self.server.take() {
             s.shutdown();
         }
@@ -641,7 +564,7 @@ struct RoundPlan {
 #[allow(clippy::too_many_arguments)]
 fn pace(
     inner: Arc<Mutex<Inner>>,
-    hdns: Arc<Mutex<HdnsNode<TcpChannel>>>,
+    provider: Arc<HdnsProviderContext>,
     stop: Arc<std::sync::atomic::AtomicBool>,
     registry: Arc<Registry>,
     membership: Arc<MembershipStats>,
@@ -724,8 +647,9 @@ fn pace(
         }
 
         // Phase 3: pump the replica (applies deliveries, answers state
-        // requests into the outbox for the next flush).
-        hdns.lock().process();
+        // requests into the outbox for the next flush) and hand the
+        // resulting change events to the provider's listeners.
+        provider.poll_events();
 
         // Phase 4: telemetry.
         export(&inner, &registry, &membership, epoch);

@@ -16,6 +16,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
+use rndi_obs::clock::{Clock, SystemClock};
 use rndi_obs::metrics::names;
 use rndi_obs::{SpanOutcome, SpanRecord, TraceCtx};
 
@@ -25,7 +26,6 @@ use crate::env::{keys, Environment};
 use crate::error::{NamingError, Result};
 use crate::event::{EventHub, ListenerHandle, NamingEvent, NamingListener};
 use crate::filter::Filter;
-use crate::lease::{LeaseClock, SystemLeaseClock};
 use crate::name::{CompositeName, CompoundSyntax};
 use crate::op::{codec, NamingOp, OpKind, OpOutcome, OpPayload, ALL_OP_KINDS};
 use crate::url::RndiUrl;
@@ -583,7 +583,7 @@ pub struct CacheInterceptor {
     /// Grace window past expiry during which an entry may still be served
     /// if the backend reports `Overloaded`; `0` disables serve-stale.
     serve_stale_ms: u64,
-    clock: Arc<dyn LeaseClock>,
+    clock: Arc<dyn Clock>,
     entries: Mutex<CacheMap>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -598,10 +598,10 @@ pub struct CacheInterceptor {
 
 impl CacheInterceptor {
     pub fn new(ttl_ms: u64) -> Self {
-        Self::with_clock(ttl_ms, Arc::new(SystemLeaseClock::new()))
+        Self::with_clock(ttl_ms, SystemClock::new())
     }
 
-    pub fn with_clock(ttl_ms: u64, clock: Arc<dyn LeaseClock>) -> Self {
+    pub fn with_clock(ttl_ms: u64, clock: Arc<dyn Clock>) -> Self {
         CacheInterceptor {
             ttl_ms,
             max_entries: DEFAULT_CACHE_MAX_ENTRIES,
@@ -1662,7 +1662,7 @@ mod tests {
 
     // ---------------------------------------------------- pipeline --
 
-    use crate::lease::ManualClock;
+    use rndi_obs::clock::ManualClock;
 
     /// A backend with scriptable failures that counts `execute` calls.
     struct MockBackend {

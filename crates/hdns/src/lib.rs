@@ -17,6 +17,9 @@
 //! * [`realm::HdnsRealm`] — a deployment of replicas over a
 //!   [`groupcast::Cluster`], with the synchronous drive loop clients use,
 //!   plus crash/restart/partition fault injection.
+//! * [`realm::Replica`] — what a naming front end needs from one replica
+//!   (replicated write, local reads, events, a pump); implemented by a
+//!   realm replica and by a TCP cluster node (`rndi-cluster`).
 //!
 //! Unlike the Jini lookup service, HDNS was co-designed with the JNDI
 //! mapping in mind: `bind` is natively atomic (first delivered bind wins,
@@ -28,5 +31,5 @@ pub mod realm;
 pub mod store;
 
 pub use node::{HdnsEvent, HdnsNode, OpOutcome, ReplicaChannel, Ticket};
-pub use realm::{AutoDrive, HdnsRealm};
+pub use realm::{HdnsRealm, RealmError, RealmReplica, Replica};
 pub use store::{AttrEdit, HdnsEntry, HdnsError, HdnsStore, Op};

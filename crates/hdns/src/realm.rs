@@ -23,8 +23,9 @@ use crate::store::{AttrEdit, HdnsEntry, HdnsError, Op};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RealmError {
     Store(HdnsError),
-    /// The contacted node is down or the write never resolved.
-    NodeUnavailable,
+    /// The write was not applied: the contacted replica is down, refused
+    /// it, or it never resolved. Carries the reason.
+    Unavailable(&'static str),
 }
 
 impl From<HdnsError> for RealmError {
@@ -37,12 +38,68 @@ impl std::fmt::Display for RealmError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RealmError::Store(e) => write!(f, "{e}"),
-            RealmError::NodeUnavailable => f.write_str("hdns node unavailable"),
+            RealmError::Unavailable(why) => f.write_str(why),
         }
     }
 }
 
 impl std::error::Error for RealmError {}
+
+/// The node is down or the write never resolved.
+const NODE_UNAVAILABLE: RealmError = RealmError::Unavailable("hdns node unavailable");
+
+/// What a naming front end needs from one HDNS replica: replicated
+/// writes, replica-local reads, change events and a pump. A realm replica
+/// ([`RealmReplica`]) and a TCP cluster node implement it, so one provider
+/// serves both.
+pub trait Replica: Send + Sync {
+    /// Replicate `op` and wait for its ordered outcome. `trace` is the
+    /// client span's context, if the write is traced.
+    fn write(&self, op: Op, trace: Option<TraceCtx>) -> Result<(), RealmError>;
+
+    /// Replica-local read.
+    fn lookup(&self, path: &str) -> Option<HdnsEntry>;
+
+    /// Replica-local visit of the direct children of `prefix`, borrowing
+    /// each entry in place. Runs under the replica's lock, so `visit` must
+    /// not call back into the replica.
+    fn for_each_child(&self, prefix: &str, visit: &mut dyn FnMut(&str, &HdnsEntry));
+
+    /// Drain the replica's change events.
+    fn take_events(&self) -> Vec<HdnsEvent>;
+
+    /// Move pending group traffic and apply what it delivered.
+    fn pump(&self);
+}
+
+/// Replica `node` of a realm, as a [`Replica`].
+#[derive(Clone)]
+pub struct RealmReplica {
+    realm: HdnsRealm,
+    node: usize,
+}
+
+impl Replica for RealmReplica {
+    fn write(&self, op: Op, trace: Option<TraceCtx>) -> Result<(), RealmError> {
+        self.realm.write(self.node, op, trace)
+    }
+
+    fn lookup(&self, path: &str) -> Option<HdnsEntry> {
+        self.realm.lookup(self.node, path)
+    }
+
+    fn for_each_child(&self, prefix: &str, visit: &mut dyn FnMut(&str, &HdnsEntry)) {
+        self.realm.for_each_child(self.node, prefix, visit)
+    }
+
+    fn take_events(&self) -> Vec<HdnsEvent> {
+        self.realm.take_events(self.node)
+    }
+
+    fn pump(&self) {
+        self.realm.drive()
+    }
+}
 
 /// A running HDNS deployment.
 ///
@@ -111,6 +168,14 @@ impl HdnsRealm {
     /// Number of replicas (including dead ones).
     pub fn replica_count(&self) -> usize {
         self.nodes.lock().len()
+    }
+
+    /// Replica `node` as a [`Replica`] (what the HDNS provider serves).
+    pub fn replica(&self, node: usize) -> RealmReplica {
+        RealmReplica {
+            realm: self.clone(),
+            node,
+        }
     }
 
     /// The group address of replica `i`.
@@ -203,23 +268,20 @@ impl HdnsRealm {
 
     fn write_inner(&self, node: usize, op: Op) -> Result<(), RealmError> {
         let handle = self.nodes.lock()[node].clone();
-        let ticket: Ticket = handle
-            .lock()
-            .submit(op)
-            .map_err(|_| RealmError::NodeUnavailable)?;
+        let ticket: Ticket = handle.lock().submit(op).map_err(|_| NODE_UNAVAILABLE)?;
         self.drive();
         // Give gossip a few more chances before declaring the write lost.
         for _ in 0..4 {
             match handle.lock().outcome(ticket) {
                 OpOutcome::Done(r) => return r.map_err(RealmError::from),
-                OpOutcome::Lost => return Err(RealmError::NodeUnavailable),
+                OpOutcome::Lost => return Err(NODE_UNAVAILABLE),
                 OpOutcome::Pending => self.drive(),
             }
         }
         let outcome = handle.lock().outcome(ticket);
         match outcome {
             OpOutcome::Done(r) => r.map_err(RealmError::from),
-            _ => Err(RealmError::NodeUnavailable),
+            _ => Err(NODE_UNAVAILABLE),
         }
     }
 
@@ -353,28 +415,6 @@ impl HdnsRealm {
         idx
     }
 
-    /// Spawn a background thread that drives the realm every `period` —
-    /// the deployment mode for applications that do not want to call
-    /// [`HdnsRealm::drive`] themselves (writes still force an inline drive,
-    /// so this mainly services gossip repair, state transfer, and event
-    /// delivery for passive watchers). The driver stops when the returned
-    /// handle is dropped.
-    pub fn start_auto_drive(&self, period: std::time::Duration) -> AutoDrive {
-        let realm = self.clone();
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let thread = std::thread::spawn(move || {
-            while !stop2.load(std::sync::atomic::Ordering::Relaxed) {
-                realm.drive();
-                std::thread::sleep(period);
-            }
-        });
-        AutoDrive {
-            stop,
-            thread: Some(thread),
-        }
-    }
-
     // ---------------------------------------------------------------
     // Fault injection
     // ---------------------------------------------------------------
@@ -425,21 +465,6 @@ impl HdnsRealm {
         self.cluster.heal();
         self.cluster.detect_failures();
         self.drive();
-    }
-}
-
-/// Handle for a background drive thread; dropping it stops the thread.
-pub struct AutoDrive {
-    stop: Arc<std::sync::atomic::AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Drop for AutoDrive {
-    fn drop(&mut self) {
-        self.stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
     }
 }
 
@@ -581,33 +606,6 @@ mod tests {
         r.bind(idx, "from-newcomer", HdnsEntry::leaf(vec![2]), None)
             .unwrap();
         assert_eq!(r.lookup(0, "from-newcomer").unwrap().value, vec![2]);
-    }
-
-    #[test]
-    fn auto_drive_services_passive_watchers() {
-        let r = realm(2);
-        let driver = r.start_auto_drive(std::time::Duration::from_millis(5));
-        // Submit a write but *don't* rely on the write path's inline drive
-        // for event delivery at the other replica: just wait for the
-        // background driver to ferry the events.
-        r.bind(0, "watched", HdnsEntry::leaf(vec![1]), None)
-            .unwrap();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        loop {
-            let events = r.take_events(1);
-            if events
-                .iter()
-                .any(|e| matches!(e, HdnsEvent::Bound { path } if path == "watched"))
-            {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "auto-driver never delivered the event"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        drop(driver); // stops and joins the thread
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //!   the envelope's trace field and the `obs.trace` op meta string.
 //!   Finished spans land in every installed [`TraceSink`]
 //!   (bounded ring buffer by default, optional JSONL file sink).
+//! * [`clock`] — the one millisecond [`clock::Clock`] (system and manual)
+//!   that leases, registrars, caches and simulated backends expire by.
 //! * [`metrics`] — a registry of counters, gauges, and fixed-bucket (log2)
 //!   latency histograms keyed by `(name, labels)`.
 //! * [`expo`] — Prometheus-style text exposition: `metrics::render()`
@@ -24,6 +26,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod clock;
 pub mod expo;
 pub mod metrics;
 pub mod recorder;

@@ -1,6 +1,4 @@
-//! Shared helpers: marshalling and clock plumbing.
-
-use std::sync::Arc;
+//! Shared helpers: marshalling and attribute plumbing.
 
 use rndi_core::attrs::{AttrValue, Attribute, Attributes};
 use rndi_core::error::{NamingError, Result};
@@ -23,29 +21,6 @@ pub fn attrs_to_json(attrs: &Attributes) -> Result<String> {
 pub fn attrs_from_json(s: &str) -> Result<Attributes> {
     serde_json::from_str(s)
         .map_err(|e| NamingError::service(format!("stored attributes are corrupt: {e}")))
-}
-
-/// Milliseconds clock shared between providers and simulated backends.
-pub trait MsClock: Send + Sync {
-    fn now_ms(&self) -> u64;
-}
-
-/// Adapt an `rlus` clock (manual or system) into [`MsClock`].
-pub struct RlusClock(pub Arc<dyn rlus::Clock>);
-
-impl MsClock for RlusClock {
-    fn now_ms(&self) -> u64 {
-        self.0.now_ms()
-    }
-}
-
-/// Adapt [`MsClock`] into the core lease clock.
-pub struct LeaseClockAdapter(pub Arc<dyn MsClock>);
-
-impl rndi_core::lease::LeaseClock for LeaseClockAdapter {
-    fn now_ms(&self) -> u64 {
-        self.0.now_ms()
-    }
 }
 
 /// Build a single-valued attribute list from `(id, value)` pairs — a

@@ -30,8 +30,7 @@ use rndi_core::op::{NamingOp, OpKind, OpOutcome};
 use rndi_core::spi::{ProviderBackend, ProviderPipeline, UrlContextFactory};
 use rndi_core::url::{looks_like_url, RndiUrl};
 use rndi_core::value::{BoundValue, Reference};
-
-use crate::common::MsClock;
+use rndi_obs::clock::Clock;
 
 /// A read-only naming backend over a DNS resolver, rooted at an anchor
 /// domain. Implements [`ProviderBackend`]; the full `Context`/`DirContext`
@@ -40,7 +39,7 @@ use crate::common::MsClock;
 pub struct DnsProviderContext {
     resolver: Arc<Resolver>,
     anchor: DnsName,
-    clock: Arc<dyn MsClock>,
+    clock: Arc<dyn Clock>,
     instance: String,
 }
 
@@ -48,7 +47,7 @@ impl DnsProviderContext {
     pub fn new(
         resolver: Arc<Resolver>,
         anchor: DnsName,
-        clock: Arc<dyn MsClock>,
+        clock: Arc<dyn Clock>,
         instance: &str,
     ) -> Arc<ProviderPipeline<Self>> {
         Self::with_env(resolver, anchor, clock, instance, &Environment::new())
@@ -59,7 +58,7 @@ impl DnsProviderContext {
     pub fn with_env(
         resolver: Arc<Resolver>,
         anchor: DnsName,
-        clock: Arc<dyn MsClock>,
+        clock: Arc<dyn Clock>,
         instance: &str,
         env: &Environment,
     ) -> Arc<ProviderPipeline<Self>> {
@@ -236,11 +235,11 @@ impl ProviderBackend for DnsProviderContext {
 pub struct DnsFactory {
     anchors: Mutex<HashMap<String, (Arc<Resolver>, DnsName)>>,
     contexts: Mutex<HashMap<String, Arc<ProviderPipeline<DnsProviderContext>>>>,
-    clock: Arc<dyn MsClock>,
+    clock: Arc<dyn Clock>,
 }
 
 impl DnsFactory {
-    pub fn new(clock: Arc<dyn MsClock>) -> Arc<Self> {
+    pub fn new(clock: Arc<dyn Clock>) -> Arc<Self> {
         Arc::new(DnsFactory {
             anchors: Mutex::new(HashMap::new()),
             contexts: Mutex::new(HashMap::new()),
@@ -282,13 +281,7 @@ mod tests {
     use super::*;
     use minidns::{AuthServer, ResourceRecord, Zone};
     use rndi_core::context::{Context, ContextExt};
-
-    struct ZeroClock;
-    impl MsClock for ZeroClock {
-        fn now_ms(&self) -> u64 {
-            0
-        }
-    }
+    use rndi_obs::clock::ManualClock;
 
     fn world() -> Arc<ProviderPipeline<DnsProviderContext>> {
         let server = AuthServer::new();
@@ -315,7 +308,7 @@ mod tests {
         DnsProviderContext::new(
             resolver,
             DnsName::parse("global.emory.edu").unwrap(),
-            Arc::new(ZeroClock),
+            ManualClock::new(),
             "global",
         )
     }
@@ -397,7 +390,7 @@ mod tests {
         let ctx = DnsProviderContext::new(
             Arc::new(minidns::Resolver::new(vec![server])),
             DnsName::parse("static.example").unwrap(),
-            Arc::new(ZeroClock),
+            ManualClock::new(),
             "static",
         );
         assert!(matches!(

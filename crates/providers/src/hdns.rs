@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use hdns::{AttrEdit, HdnsEntry, HdnsError, HdnsEvent, HdnsRealm};
+use hdns::{AttrEdit, HdnsEntry, HdnsError, HdnsEvent, HdnsRealm, Op, RealmError, Replica};
 
 use rndi_core::attrs::{AttrMod, AttrValue, Attribute, Attributes};
 use rndi_core::context::{
@@ -30,18 +30,19 @@ use rndi_core::op::{NamingOp, OpKind, OpOutcome, OpPayload};
 use rndi_core::spi::{ProviderBackend, ProviderPipeline, UrlContextFactory, WireFormat};
 use rndi_core::url::RndiUrl;
 use rndi_core::value::BoundValue;
+use rndi_obs::TraceCtx;
 
 use crate::common;
 
-fn realm_err(e: hdns::realm::RealmError, name: &str) -> NamingError {
-    use hdns::realm::RealmError::*;
+fn realm_err(e: RealmError, name: &str) -> NamingError {
+    use RealmError::*;
     match e {
         Store(HdnsError::AlreadyBound(p)) => NamingError::already_bound(p),
         Store(HdnsError::NotFound(p)) => NamingError::not_found(p),
         Store(HdnsError::NotAContext(p)) => NamingError::NotAContext { name: p },
         Store(HdnsError::NotEmpty(p)) => NamingError::ContextNotEmpty { name: p },
         Store(HdnsError::InvalidPath(p)) => NamingError::invalid_name(p, "invalid HDNS path"),
-        NodeUnavailable => NamingError::service(format!("HDNS node unavailable for {name}")),
+        Unavailable(why) => NamingError::service(format!("{why}: {name}")),
     }
 }
 
@@ -117,11 +118,12 @@ fn from_entry_value(e: &HdnsEntry) -> BoundValue {
 /// A naming backend over one HDNS replica (reads are replica-local; writes
 /// replicate through the group). Implements [`ProviderBackend`]; the
 /// `Context`/`DirContext` surface comes from the [`ProviderPipeline`]
-/// returned by [`HdnsProviderContext::new`].
+/// returned by [`HdnsProviderContext::new`]. The replica is a realm's
+/// ([`HdnsProviderContext::with_env`]) or a cluster node's
+/// ([`HdnsProviderContext::for_replica`]).
 pub struct HdnsProviderContext {
-    realm: HdnsRealm,
-    /// Which replica this context talks to (the paper's "nearest node").
-    node: usize,
+    /// The replica this context talks to (the paper's "nearest node").
+    replica: Arc<dyn Replica>,
     hub: Arc<EventHub>,
     instance: String,
 }
@@ -131,22 +133,46 @@ impl HdnsProviderContext {
         Self::with_env(realm, node, instance, &Environment::new())
     }
 
-    /// Construct with an environment controlling the pipeline stack.
+    /// Replica `node` of `realm`, with an environment controlling the
+    /// pipeline stack.
     pub fn with_env(
         realm: HdnsRealm,
         node: usize,
         instance: &str,
         env: &Environment,
     ) -> Arc<ProviderPipeline<Self>> {
+        Self::for_replica(
+            Arc::new(realm.replica(node)),
+            &format!("{instance}#{node}"),
+            env,
+        )
+    }
+
+    /// The standard pipeline over any replica; `instance` names it in the
+    /// provider id (`hdns:<instance>`).
+    pub fn for_replica(
+        replica: Arc<dyn Replica>,
+        instance: &str,
+        env: &Environment,
+    ) -> Arc<ProviderPipeline<Self>> {
         ProviderPipeline::standard(
             Arc::new(HdnsProviderContext {
-                realm,
-                node,
+                replica,
                 hub: Arc::new(EventHub::new()),
                 instance: instance.to_string(),
             }),
             env,
         )
+    }
+
+    /// Replicate `op`, then deliver the change events it produced.
+    fn write(&self, op: Op, trace: Option<TraceCtx>, path: &str) -> Result<()> {
+        let r = self
+            .replica
+            .write(op, trace)
+            .map_err(|e| realm_err(e, path));
+        self.drain_events();
+        r
     }
 
     fn path(&self, name: &CompositeName) -> Result<String> {
@@ -173,7 +199,7 @@ impl HdnsProviderContext {
     fn check_mount_upto(&self, name: &CompositeName, upper: usize) -> Option<NamingError> {
         for k in 1..upper.min(name.len() + 1) {
             let prefix = name.prefix(k).components().join("/");
-            if let Some(e) = self.realm.lookup(self.node, &prefix) {
+            if let Some(e) = self.replica.lookup(&prefix) {
                 if !e.is_context {
                     let v = common::unmarshal(&e.value);
                     if v.is_federation_link() {
@@ -189,10 +215,10 @@ impl HdnsProviderContext {
     }
 
     /// Pump replica events into the provider hub. Driven by write
-    /// operations (which already force a realm drive) and by
+    /// operations (which already pump the replica) and by
     /// [`HdnsProviderContext::poll_events`].
     fn drain_events(&self) {
-        for ev in self.realm.take_events(self.node) {
+        for ev in self.replica.take_events() {
             match ev {
                 HdnsEvent::Bound { path } => {
                     self.hub.fire_added(path_to_name(&path), BoundValue::Null)
@@ -213,7 +239,7 @@ impl HdnsProviderContext {
 
     /// Deliver pending replica change events to listeners.
     pub fn poll_events(&self) {
-        self.realm.drive();
+        self.replica.pump();
         self.drain_events();
     }
 
@@ -241,7 +267,7 @@ impl HdnsProviderContext {
         let subtree = controls.scope == SearchScope::Subtree;
         let mut steps = Vec::new();
         let mut hits = 0;
-        self.realm.for_each_child(self.node, base, |child, entry| {
+        self.replica.for_each_child(base, &mut |child, entry| {
             // Once this level alone fills the limit, nothing later in it
             // (or below it) can be returned.
             if hits >= limit {
@@ -297,8 +323,8 @@ impl HdnsProviderContext {
         }
         let path = self.path(name)?;
         let entry = self
-            .realm
-            .lookup(self.node, &path)
+            .replica
+            .lookup(&path)
             .ok_or_else(|| NamingError::not_found(&path))?;
         Ok(from_entry_value(&entry))
     }
@@ -308,23 +334,17 @@ impl HdnsProviderContext {
             return Err(cont);
         }
         let path = self.path(name)?;
-        let r = self
-            .realm
-            .unbind(self.node, &path)
-            .map_err(|e| realm_err(e, &path));
-        self.drain_events();
-        r
+        self.write(Op::Unbind { path: path.clone() }, None, &path)
     }
 
     fn rename(&self, old: &CompositeName, new: &CompositeName) -> Result<()> {
         let from = self.path(old)?;
         let to = self.path(new)?;
-        let r = self
-            .realm
-            .rename(self.node, &from, &to)
-            .map_err(|e| realm_err(e, &from));
-        self.drain_events();
-        r
+        let op = Op::Rename {
+            from: from.clone(),
+            to,
+        };
+        self.write(op, None, &from)
     }
 
     fn list(&self, name: &CompositeName) -> Result<Vec<NameClassPair>> {
@@ -337,7 +357,7 @@ impl HdnsProviderContext {
             self.path(name)?
         };
         let mut out = Vec::new();
-        self.realm.for_each_child(self.node, &prefix, |n, e| {
+        self.replica.for_each_child(&prefix, &mut |n, e| {
             out.push(NameClassPair {
                 name: n.to_string(),
                 class_name: if e.is_context {
@@ -360,7 +380,7 @@ impl HdnsProviderContext {
             self.path(name)?
         };
         let mut out = Vec::new();
-        self.realm.for_each_child(self.node, &prefix, |n, e| {
+        self.replica.for_each_child(&prefix, &mut |n, e| {
             out.push(Binding {
                 name: n.to_string(),
                 value: from_entry_value(e),
@@ -371,22 +391,14 @@ impl HdnsProviderContext {
 
     fn create_subcontext(&self, name: &CompositeName) -> Result<()> {
         let path = self.path(name)?;
-        let r = self
-            .realm
-            .create_context(self.node, &path)
-            .map_err(|e| realm_err(e, &path));
-        self.drain_events();
-        r
+        self.write(Op::CreateContext { path: path.clone() }, None, &path)
     }
 
     fn destroy_subcontext(&self, name: &CompositeName) -> Result<()> {
         let path = self.path(name)?;
-        match self.realm.lookup(self.node, &path) {
+        match self.replica.lookup(&path) {
             None => Ok(()),
-            Some(e) if e.is_context => self
-                .realm
-                .unbind(self.node, &path)
-                .map_err(|err| realm_err(err, &path)),
+            Some(e) if e.is_context => self.write(Op::Unbind { path: path.clone() }, None, &path),
             Some(_) => Err(NamingError::ContextExpected { name: path }),
         }
     }
@@ -397,8 +409,8 @@ impl HdnsProviderContext {
         }
         let path = self.path(name)?;
         let entry = self
-            .realm
-            .lookup(self.node, &path)
+            .replica
+            .lookup(&path)
             .ok_or_else(|| NamingError::not_found(&path))?;
         Ok(from_entry_attrs(&entry))
     }
@@ -408,16 +420,15 @@ impl HdnsProviderContext {
     /// one entry compose.
     fn modify_attributes(&self, name: &CompositeName, mods: &[AttrMod]) -> Result<()> {
         let path = self.path(name)?;
-        let r = self
-            .realm
-            .modify_attrs(self.node, &path, to_edits(mods))
-            .map_err(|e| realm_err(e, &path));
-        self.drain_events();
-        r
+        let op = Op::ModifyAttrs {
+            path: path.clone(),
+            edits: to_edits(mods),
+        };
+        self.write(op, None, &path)
     }
 
     /// Bind (or, with `overwrite`, rebind) `op`'s marshalled payload and
-    /// attributes. A traced op hands its context to the realm, which
+    /// attributes. A traced op hands its context to the replica; a realm
     /// links its server span under the client's.
     fn write_entry(&self, op: &NamingOp, overwrite: bool) -> Result<()> {
         let (payload, _) = op.wire_value()?;
@@ -426,15 +437,12 @@ impl HdnsProviderContext {
         }
         let path = self.path(&op.name)?;
         let entry = to_entry(payload, op.attrs.as_ref().unwrap_or(&Attributes::new()));
-        let trace = op.trace_ctx();
-        let r = if overwrite {
-            self.realm.rebind(self.node, &path, entry, trace)
-        } else {
-            self.realm.bind(self.node, &path, entry, trace)
-        }
-        .map_err(|e| realm_err(e, &path));
-        self.drain_events();
-        r
+        let bind = Op::Bind {
+            path: path.clone(),
+            entry,
+            overwrite,
+        };
+        self.write(bind, op.trace_ctx(), &path)
     }
 
     fn search(
@@ -508,7 +516,7 @@ impl ProviderBackend for HdnsProviderContext {
     }
 
     fn provider_id(&self) -> String {
-        format!("hdns:{}#{}", self.instance, self.node)
+        format!("hdns:{}", self.instance)
     }
 
     fn event_hub(&self) -> Option<Arc<EventHub>> {
@@ -569,6 +577,7 @@ mod tests {
     use groupcast::StackConfig;
     use proptest::prelude::*;
     use rndi_core::context::{Context, ContextExt};
+    use rndi_core::event::EventType;
     use rndi_core::value::Reference;
 
     type Pipeline = Arc<ProviderPipeline<HdnsProviderContext>>;
@@ -704,6 +713,19 @@ mod tests {
         a.bind_str("e", "1").unwrap();
         b.poll_events();
         assert!(l.count() >= 1, "replica 1 saw the replicated bind");
+    }
+
+    #[test]
+    fn destroy_subcontext_delivers_its_removal() {
+        let (a, _) = setup();
+        a.create_subcontext(&"dept".into()).unwrap();
+        let l = rndi_core::event::CollectingListener::new();
+        a.add_listener(&CompositeName::empty(), l.clone()).unwrap();
+        a.destroy_subcontext(&"dept".into()).unwrap();
+        let events = l.drain();
+        assert_eq!(events.len(), 1, "{events:?}");
+        assert_eq!(events[0].event_type, EventType::ObjectRemoved);
+        assert_eq!(events[0].name, CompositeName::parse("dept").unwrap());
     }
 
     #[test]

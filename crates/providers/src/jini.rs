@@ -41,8 +41,9 @@ use rndi_core::op::{NamingOp, OpKind, OpOutcome, OpPayload};
 use rndi_core::spi::{ProviderBackend, ProviderPipeline, UrlContextFactory, WireFormat};
 use rndi_core::url::RndiUrl;
 use rndi_core::value::BoundValue;
+use rndi_obs::clock::Clock;
 
-use crate::common::{self, LeaseClockAdapter, MsClock, RlusClock};
+use crate::common;
 use crate::emlock::{EisenbergMcGuire, SharedRegisters};
 
 /// Entry class carrying the binding name.
@@ -220,7 +221,7 @@ impl JiniProviderContext {
     /// leases against.
     pub fn new(
         registrar: Registrar,
-        clock: Arc<dyn MsClock>,
+        clock: Arc<dyn Clock>,
         env: Environment,
         instance: &str,
     ) -> Arc<ProviderPipeline<Self>> {
@@ -231,7 +232,7 @@ impl JiniProviderContext {
     /// [`AtomicBindProxy`] for the strict-bind fast path.
     pub fn with_proxy(
         registrar: Registrar,
-        clock: Arc<dyn MsClock>,
+        clock: Arc<dyn Clock>,
         env: Environment,
         instance: &str,
         proxy: Option<Arc<AtomicBindProxy>>,
@@ -244,7 +245,7 @@ impl JiniProviderContext {
             registrar: registrar.clone(),
             by_name: Mutex::new(HashMap::new()),
         });
-        let lease_mgr = LeaseRenewalManager::new(Arc::new(LeaseClockAdapter(clock.clone())), 0.5);
+        let lease_mgr = LeaseRenewalManager::new(clock.clone(), 0.5);
         let lock = EisenbergMcGuire::new(
             RegistrarRegisters {
                 registrar: registrar.clone(),
@@ -747,7 +748,7 @@ impl ProviderBackend for JiniProviderContext {
 /// realm, then wraps the located registrar.
 pub struct JiniFactory {
     realm: DiscoveryRealm,
-    clock: Arc<dyn rlus::Clock>,
+    clock: Arc<dyn Clock>,
     /// One provider pipeline per located registrar, so lease managers,
     /// event bridges, and cache/stats stacks are shared across lookups of
     /// the same URL.
@@ -755,7 +756,7 @@ pub struct JiniFactory {
 }
 
 impl JiniFactory {
-    pub fn new(realm: DiscoveryRealm, clock: Arc<dyn rlus::Clock>) -> Arc<Self> {
+    pub fn new(realm: DiscoveryRealm, clock: Arc<dyn Clock>) -> Arc<Self> {
         Arc::new(JiniFactory {
             realm,
             clock,
@@ -786,7 +787,7 @@ impl UrlContextFactory for JiniFactory {
         })?;
         let ctx = JiniProviderContext::new(
             registrar,
-            Arc::new(RlusClock(self.clock.clone())),
+            self.clock.clone(),
             env.clone(),
             &format!("{}:{}", locator.host, locator.port),
         );
@@ -798,10 +799,10 @@ impl UrlContextFactory for JiniFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rlus::ManualClock;
     use rndi_core::context::{Context, ContextExt, DirContext};
     use rndi_core::event::CollectingListener;
     use rndi_core::value::Reference;
+    use rndi_obs::clock::ManualClock;
 
     fn setup(
         strict: bool,
@@ -816,12 +817,7 @@ mod tests {
             keys::JINI_STRICT_BIND,
             if strict { "true" } else { "false" },
         );
-        let ctx = JiniProviderContext::new(
-            registrar.clone(),
-            Arc::new(RlusClock(clock.clone() as Arc<dyn rlus::Clock>)),
-            env,
-            "test",
-        );
+        let ctx = JiniProviderContext::new(registrar.clone(), clock.clone(), env, "test");
         (ctx, registrar, clock)
     }
 
@@ -932,12 +928,7 @@ mod tests {
         // A second provider context over the same registrar (no lease map
         // entry for "shared").
         let env = Environment::new().with(keys::JINI_STRICT_BIND, "false");
-        let ctx_b = JiniProviderContext::new(
-            registrar.clone(),
-            Arc::new(RlusClock(clock as Arc<dyn rlus::Clock>)),
-            env,
-            "b",
-        );
+        let ctx_b = JiniProviderContext::new(registrar.clone(), clock, env, "b");
         ctx_b.unbind_str("shared").unwrap();
         assert!(ctx_b.lookup_str("shared").is_err());
     }
@@ -1041,13 +1032,8 @@ mod tests {
         let registrar = Registrar::new(clock.clone(), 600_000, 9);
         let proxy = AtomicBindProxy::new(registrar.clone());
         let env = Environment::new().with(keys::JINI_STRICT_BIND, "true");
-        let ctx = JiniProviderContext::with_proxy(
-            registrar.clone(),
-            Arc::new(RlusClock(clock as Arc<dyn rlus::Clock>)),
-            env,
-            "proxied",
-            Some(proxy),
-        );
+        let ctx =
+            JiniProviderContext::with_proxy(registrar.clone(), clock, env, "proxied", Some(proxy));
         let before = registrar.stats();
         ctx.bind_str("k", "1").unwrap();
         let after = registrar.stats();

@@ -28,9 +28,10 @@ use rndi_core::op::{NamingOp, OpKind, OpOutcome, OpPayload};
 use rndi_core::spi::{ProviderBackend, ProviderPipeline, UrlContextFactory, WireFormat};
 use rndi_core::url::RndiUrl;
 use rndi_core::value::BoundValue;
+use rndi_obs::clock::Clock;
 use rndi_obs::TraceCtx;
 
-use crate::common::{self, MsClock};
+use crate::common;
 
 const VALUE_ATTR: &str = "rndiValue";
 const CLASS_ATTR: &str = "objectClass";
@@ -68,7 +69,7 @@ fn to_ldap_filter(f: &Filter) -> Result<LdapFilter> {
 pub struct LdapProviderContext {
     conn: Connection,
     base: Dn,
-    clock: Arc<dyn MsClock>,
+    clock: Arc<dyn Clock>,
     instance: String,
     /// Cumulative anti-DoS delay the server imposed on our reads — the
     /// benchmark harness charges it as response latency.
@@ -79,7 +80,7 @@ impl LdapProviderContext {
     pub fn new(
         conn: Connection,
         base: Dn,
-        clock: Arc<dyn MsClock>,
+        clock: Arc<dyn Clock>,
         instance: &str,
     ) -> Arc<ProviderPipeline<Self>> {
         Self::with_env(conn, base, clock, instance, &Environment::new())
@@ -89,7 +90,7 @@ impl LdapProviderContext {
     pub fn with_env(
         conn: Connection,
         base: Dn,
-        clock: Arc<dyn MsClock>,
+        clock: Arc<dyn Clock>,
         instance: &str,
         env: &Environment,
     ) -> Arc<ProviderPipeline<Self>> {
@@ -551,7 +552,7 @@ fn relative_name(dn: &Dn, base: &Dn) -> String {
 /// base DN the provider roots composite names at.
 pub struct LdapFactory {
     hosts: Mutex<HashMap<String, (DirectoryServer, Dn)>>,
-    clock: Arc<dyn MsClock>,
+    clock: Arc<dyn Clock>,
     /// One pipeline per `host|principal` pair — connections carry an
     /// authentication identity, so different principals must not share a
     /// cached context (or its lookup cache).
@@ -559,7 +560,7 @@ pub struct LdapFactory {
 }
 
 impl LdapFactory {
-    pub fn new(clock: Arc<dyn MsClock>) -> Arc<Self> {
+    pub fn new(clock: Arc<dyn Clock>) -> Arc<Self> {
         Arc::new(LdapFactory {
             hosts: Mutex::new(HashMap::new()),
             clock,
@@ -618,13 +619,7 @@ mod tests {
     use dirserv::ServerConfig;
     use rndi_core::context::{Context, ContextExt, DirContext};
     use rndi_core::value::Reference;
-
-    struct ZeroClock;
-    impl MsClock for ZeroClock {
-        fn now_ms(&self) -> u64 {
-            0
-        }
-    }
+    use rndi_obs::clock::ManualClock;
 
     fn setup() -> (Arc<ProviderPipeline<LdapProviderContext>>, DirectoryServer) {
         let server = DirectoryServer::new(ServerConfig {
@@ -642,7 +637,7 @@ mod tests {
         let ctx = LdapProviderContext::new(
             server.connect_anonymous(),
             Dn::parse("o=emory").unwrap(),
-            Arc::new(ZeroClock),
+            ManualClock::new(),
             "test",
         );
         (ctx, server)
@@ -815,7 +810,7 @@ mod tests {
         let anon_ctx = LdapProviderContext::new(
             server.connect_anonymous(),
             Dn::parse("o=emory").unwrap(),
-            Arc::new(ZeroClock),
+            ManualClock::new(),
             "t",
         );
         assert!(matches!(
@@ -827,7 +822,7 @@ mod tests {
                 .simple_bind(&Dn::parse("cn=admin").unwrap(), "secret")
                 .unwrap(),
             Dn::parse("o=emory").unwrap(),
-            Arc::new(ZeroClock),
+            ManualClock::new(),
             "t",
         );
         admin_ctx.bind_str("x", "v").unwrap();

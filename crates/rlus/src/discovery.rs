@@ -84,7 +84,7 @@ impl DiscoveryRealm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::ManualClock;
+    use crate::ManualClock;
 
     fn reg() -> Registrar {
         Registrar::new(ManualClock::new(), 60_000, 0)

@@ -13,18 +13,11 @@ use std::sync::Arc;
 
 use rndi::core::prelude::*;
 use rndi::core::value::StoredValue;
-use rndi::providers::common::MsClock;
+use rndi::obs::clock::{Clock, SystemClock};
 use rndi::providers::{DnsFactory, HdnsFactory, LdapFactory};
 
-struct WallClock(std::time::Instant);
-impl MsClock for WallClock {
-    fn now_ms(&self) -> u64 {
-        self.0.elapsed().as_millis() as u64
-    }
-}
-
 fn main() -> Result<()> {
-    let clock: Arc<dyn MsClock> = Arc::new(WallClock(std::time::Instant::now()));
+    let clock: Arc<dyn Clock> = SystemClock::new();
 
     // ------------------------- The root layer: DNS -------------------------
     // A well-known name anchors the federation: a TXT record at the

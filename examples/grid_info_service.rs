@@ -11,22 +11,13 @@
 use std::sync::Arc;
 
 use rndi::core::prelude::*;
-use rndi::providers::common::MsClock;
+use rndi::obs::clock::SystemClock;
 use rndi::providers::{HdnsFactory, JiniFactory, LdapFactory};
 
-struct WallClock(std::time::Instant);
-impl MsClock for WallClock {
-    fn now_ms(&self) -> u64 {
-        self.0.elapsed().as_millis() as u64
-    }
-}
-
 fn main() -> Result<()> {
-    let ms_clock: Arc<dyn MsClock> = Arc::new(WallClock(std::time::Instant::now()));
-
     // Department A prefers Jini (like JGrid / JISGA / ALiCE).
-    let rlus_clock = rndi::rlus::SystemClock::new();
-    let registrar = rndi::rlus::Registrar::new(rlus_clock.clone(), 600_000, 3);
+    let clock = SystemClock::new();
+    let registrar = rndi::rlus::Registrar::new(clock.clone(), 600_000, 3);
     let jini_realm = rndi::rlus::DiscoveryRealm::new();
     jini_realm.announce(
         rndi::rlus::discovery::LookupLocator::new("mathcs-lus", 4160),
@@ -54,8 +45,8 @@ fn main() -> Result<()> {
     );
 
     let registry = Arc::new(ProviderRegistry::new());
-    registry.register(JiniFactory::new(jini_realm, rlus_clock));
-    let ldap_factory = LdapFactory::new(ms_clock);
+    registry.register(JiniFactory::new(jini_realm, clock.clone()));
+    let ldap_factory = LdapFactory::new(clock);
     ldap_factory.register_host(
         "physics-ldap",
         ldap,

@@ -6,11 +6,8 @@
 //!
 //! Run with: `cargo run --example service_discovery`
 
-use std::sync::Arc;
-
 use rndi::core::context::ContextExt;
 use rndi::core::prelude::*;
-use rndi::providers::common::RlusClock;
 use rndi::providers::JiniProviderContext;
 use rndi::rlus::{ManualClock, Registrar};
 
@@ -23,12 +20,7 @@ fn main() -> Result<()> {
     let env = Environment::new()
         .with(env_keys::JINI_STRICT_BIND, "false")
         .with(env_keys::LEASE_MS, "60000");
-    let ctx = JiniProviderContext::new(
-        registrar.clone(),
-        Arc::new(RlusClock(clock.clone() as Arc<dyn rndi::rlus::Clock>)),
-        env,
-        "demo",
-    );
+    let ctx = JiniProviderContext::new(registrar.clone(), clock.clone(), env, "demo");
 
     // Watch the registry through the JNDI event API.
     let listener = CollectingListener::new();

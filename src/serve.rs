@@ -14,6 +14,7 @@ use rndi_core::env::Environment;
 use rndi_core::error::Result;
 use rndi_core::spi::{ProviderBackend, ProviderPipeline};
 use rndi_net::{NetServer, ServerConfig};
+use rndi_obs::clock::Clock;
 use rndi_shard::{ClusterObserver, ClusterScrape, ShardInfo, ShardMap, ShardRouter};
 
 use dirserv::server::Connection;
@@ -21,7 +22,6 @@ use dirserv::Dn;
 use groupcast::StackConfig;
 use hdns::HdnsRealm;
 use rlus::Registrar;
-use rndi_providers::common::MsClock;
 use rndi_providers::hdns::HdnsProviderContext;
 use rndi_providers::jini::JiniProviderContext;
 use rndi_providers::ldap::LdapProviderContext;
@@ -49,7 +49,7 @@ pub fn serve_hdns(
 pub fn serve_ldap(
     conn: Connection,
     base: Dn,
-    clock: Arc<dyn MsClock>,
+    clock: Arc<dyn Clock>,
     instance: &str,
     env: &Environment,
 ) -> Result<NetServer> {
@@ -266,7 +266,7 @@ pub fn serve_cluster_hdns(n: usize, group: &str, env: &Environment) -> Result<Hd
 /// network endpoint.
 pub fn serve_jini(
     registrar: Registrar,
-    clock: Arc<dyn MsClock>,
+    clock: Arc<dyn Clock>,
     instance: &str,
     env: &Environment,
 ) -> Result<NetServer> {

@@ -6,7 +6,7 @@
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
-use hdns::{HdnsEntry, Op, OpOutcome};
+use hdns::{HdnsEntry, Op};
 use rndi::serve::{serve_cluster_hdns, HdnsCluster};
 use rndi_cluster::{ClusterConfig, ClusterNode};
 use rndi_core::env::{keys, Environment};
@@ -60,23 +60,19 @@ fn converged(cluster: &HdnsCluster, n: usize) -> bool {
 }
 
 fn bind_ok(node: &ClusterNode, path: &str, value: &[u8]) -> bool {
-    matches!(
-        node.write_sync(Op::Bind {
-            path: path.to_string(),
-            entry: HdnsEntry::leaf(value.to_vec()),
-            overwrite: true,
-        }),
-        OpOutcome::Done(Ok(()))
-    )
+    node.write_sync(Op::Bind {
+        path: path.to_string(),
+        entry: HdnsEntry::leaf(value.to_vec()),
+        overwrite: true,
+    })
+    .is_ok()
 }
 
 fn mkdir_ok(node: &ClusterNode, path: &str) -> bool {
-    matches!(
-        node.write_sync(Op::CreateContext {
-            path: path.to_string(),
-        }),
-        OpOutcome::Done(Ok(()))
-    )
+    node.write_sync(Op::CreateContext {
+        path: path.to_string(),
+    })
+    .is_ok()
 }
 
 #[test]

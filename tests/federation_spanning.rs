@@ -6,15 +6,8 @@ use std::sync::Arc;
 
 use rndi::core::prelude::*;
 use rndi::core::value::StoredValue;
-use rndi::providers::common::MsClock;
+use rndi::obs::clock::{Clock, ManualClock};
 use rndi::providers::{DnsFactory, FsFactory, HdnsFactory, JiniFactory, LdapFactory};
-
-struct ZeroClock;
-impl MsClock for ZeroClock {
-    fn now_ms(&self) -> u64 {
-        0
-    }
-}
 
 /// A full deployment: DNS root, HDNS intermediate, Jini + LDAP + FS
 /// leaves, all reachable through one `InitialContext`.
@@ -25,7 +18,7 @@ struct World {
 }
 
 fn world(tag: &str) -> World {
-    let clock: Arc<dyn MsClock> = Arc::new(ZeroClock);
+    let clock: Arc<dyn Clock> = ManualClock::new();
     let registry = Arc::new(ProviderRegistry::new());
 
     // DNS root: anchor for federation "global".
@@ -59,7 +52,7 @@ fn world(tag: &str) -> World {
     registry.register(hdns_factory);
 
     // Jini leaf.
-    let rlus_clock = rndi::rlus::ManualClock::new();
+    let rlus_clock = ManualClock::new();
     let registrar = rndi::rlus::Registrar::new(rlus_clock.clone(), u64::MAX / 4, 17);
     let jini_realm = rndi::rlus::DiscoveryRealm::new();
     jini_realm.announce(
@@ -67,10 +60,7 @@ fn world(tag: &str) -> World {
         &["dept"],
         registrar,
     );
-    registry.register(JiniFactory::new(
-        jini_realm,
-        rlus_clock as Arc<dyn rndi::rlus::Clock>,
-    ));
+    registry.register(JiniFactory::new(jini_realm, rlus_clock));
 
     // LDAP leaf.
     let ldap = rndi::ldap::DirectoryServer::new(rndi::ldap::ServerConfig {

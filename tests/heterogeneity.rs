@@ -7,15 +7,9 @@ use std::sync::Arc;
 
 use rndi::core::context::ContextExt;
 use rndi::core::prelude::*;
-use rndi::providers::common::{attrs, MsClock, RlusClock};
+use rndi::obs::clock::ManualClock;
+use rndi::providers::common::attrs;
 use rndi::providers::{FsContext, HdnsProviderContext, JiniProviderContext, LdapProviderContext};
-
-struct ZeroClock;
-impl MsClock for ZeroClock {
-    fn now_ms(&self) -> u64 {
-        0
-    }
-}
 
 /// Build one instance of every writable provider, each on a fresh backend.
 fn all_providers(tag: &str) -> Vec<(&'static str, Arc<dyn DirContext>)> {
@@ -23,16 +17,11 @@ fn all_providers(tag: &str) -> Vec<(&'static str, Arc<dyn DirContext>)> {
 
     out.push(("mem", Arc::new(MemContext::new())));
 
-    let clock = rndi::rlus::ManualClock::new();
+    let clock = ManualClock::new();
     let registrar = rndi::rlus::Registrar::new(clock.clone(), u64::MAX / 4, 5);
     out.push((
         "jini",
-        JiniProviderContext::new(
-            registrar,
-            Arc::new(RlusClock(clock as Arc<dyn rndi::rlus::Clock>)),
-            Environment::new(),
-            "conformance",
-        ),
+        JiniProviderContext::new(registrar, clock, Environment::new(), "conformance"),
     ));
 
     let realm = rndi::hdns::HdnsRealm::new(
@@ -60,7 +49,7 @@ fn all_providers(tag: &str) -> Vec<(&'static str, Arc<dyn DirContext>)> {
         LdapProviderContext::new(
             ldap.connect_anonymous(),
             rndi::ldap::Dn::parse("o=test").unwrap(),
-            Arc::new(ZeroClock),
+            ManualClock::new(),
             "conformance",
         ),
     ));

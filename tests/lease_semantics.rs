@@ -7,7 +7,6 @@ use std::sync::Arc;
 
 use rndi::core::context::ContextExt;
 use rndi::core::prelude::*;
-use rndi::providers::common::RlusClock;
 use rndi::providers::JiniProviderContext;
 use rndi::rlus::{Entry, ManualClock, Registrar, ServiceItem, ServiceStub};
 
@@ -23,12 +22,7 @@ fn setup(
     let env = Environment::new()
         .with(env_keys::JINI_STRICT_BIND, "false")
         .with(env_keys::LEASE_MS, lease_ms.to_string());
-    let ctx = JiniProviderContext::new(
-        registrar.clone(),
-        Arc::new(RlusClock(clock.clone() as Arc<dyn rndi::rlus::Clock>)),
-        env,
-        "lease-it",
-    );
+    let ctx = JiniProviderContext::new(registrar.clone(), clock.clone(), env, "lease-it");
     (ctx, registrar, clock)
 }
 
@@ -105,12 +99,7 @@ fn renewal_failure_reported_after_external_removal() {
     // Another client cancels it out from under us (re-registering with a
     // zero lease and sweeping — the expiry-emulation path).
     let env = Environment::new().with(env_keys::JINI_STRICT_BIND, "false");
-    let other = JiniProviderContext::new(
-        registrar.clone(),
-        Arc::new(RlusClock(clock.clone() as Arc<dyn rndi::rlus::Clock>)),
-        env,
-        "other",
-    );
+    let other = JiniProviderContext::new(registrar.clone(), clock.clone(), env, "other");
     other.unbind_str("contested").unwrap();
 
     clock.set(6_000);

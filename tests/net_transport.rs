@@ -15,7 +15,7 @@ use rndi::core::name::CompositeName;
 use rndi::core::prelude::*;
 use rndi::core::spi::ProviderBackend;
 use rndi::net::{NetClient, NetServer, ServerConfig};
-use rndi::providers::common::{MsClock, RlusClock};
+use rndi::obs::clock::ManualClock;
 use rndi::providers::HdnsProviderContext;
 use rndi::serve;
 
@@ -183,12 +183,6 @@ fn retry_recovers_from_server_crash_and_restart() {
 #[test]
 fn ldap_and_jini_served_over_loopback() {
     // LDAP behind the net server.
-    struct ZeroClock;
-    impl MsClock for ZeroClock {
-        fn now_ms(&self) -> u64 {
-            0
-        }
-    }
     let directory = rndi::ldap::DirectoryServer::new(rndi::ldap::ServerConfig {
         read_throttle_per_sec: None,
         ..Default::default()
@@ -204,7 +198,7 @@ fn ldap_and_jini_served_over_loopback() {
     let ldap_server = serve::serve_ldap(
         directory.connect_anonymous(),
         rndi::ldap::Dn::parse("o=netdept").unwrap(),
-        Arc::new(ZeroClock),
+        ManualClock::new(),
         "net-dir",
         &Environment::new(),
     )
@@ -233,15 +227,10 @@ fn ldap_and_jini_served_over_loopback() {
     ldap_server.shutdown();
 
     // The rlus registrar (Jini analog) behind the net server.
-    let rlus_clock = rndi::rlus::ManualClock::new();
+    let rlus_clock = ManualClock::new();
     let registrar = rndi::rlus::Registrar::new(rlus_clock.clone(), u64::MAX / 4, 23);
-    let jini_server = serve::serve_jini(
-        registrar,
-        Arc::new(RlusClock(rlus_clock as Arc<dyn rndi::rlus::Clock>)),
-        "net-lus",
-        &Environment::new(),
-    )
-    .unwrap();
+    let jini_server =
+        serve::serve_jini(registrar, rlus_clock, "net-lus", &Environment::new()).unwrap();
     let jini_remote =
         NetClient::connect(jini_server.local_addr().to_string(), &client_env()).unwrap();
     jini_remote.bind_str("worker", "stub-7").unwrap();

@@ -7,21 +7,14 @@
 use std::sync::Arc;
 
 use rndi::core::prelude::*;
-use rndi::providers::common::MsClock;
+use rndi::obs::clock::{Clock, ManualClock};
 use rndi::providers::{HdnsFactory, JiniFactory, LdapFactory};
-
-struct ZeroClock;
-impl MsClock for ZeroClock {
-    fn now_ms(&self) -> u64 {
-        0
-    }
-}
 
 /// HDNS base with two federation links: one to an LDAP directory, one to a
 /// Jini lookup service. Mount names are unique to this test so trace-ring
 /// lookups are immune to spans from concurrently running tests.
 fn world() -> (InitialContext, Arc<ProviderRegistry>) {
-    let clock: Arc<dyn MsClock> = Arc::new(ZeroClock);
+    let clock: Arc<dyn Clock> = ManualClock::new();
     let registry = Arc::new(ProviderRegistry::new());
 
     let hdns_realm = rndi::hdns::HdnsRealm::new(
@@ -36,7 +29,7 @@ fn world() -> (InitialContext, Arc<ProviderRegistry>) {
     hdns_factory.register_host("obs-h1", hdns_realm, 1);
     registry.register(hdns_factory);
 
-    let rlus_clock = rndi::rlus::ManualClock::new();
+    let rlus_clock = ManualClock::new();
     let registrar = rndi::rlus::Registrar::new(rlus_clock.clone(), u64::MAX / 4, 17);
     let jini_realm = rndi::rlus::DiscoveryRealm::new();
     jini_realm.announce(
@@ -44,10 +37,7 @@ fn world() -> (InitialContext, Arc<ProviderRegistry>) {
         &["dept"],
         registrar,
     );
-    registry.register(JiniFactory::new(
-        jini_realm,
-        rlus_clock as Arc<dyn rndi::rlus::Clock>,
-    ));
+    registry.register(JiniFactory::new(jini_realm, rlus_clock));
 
     let ldap = rndi::ldap::DirectoryServer::new(rndi::ldap::ServerConfig {
         read_throttle_per_sec: None,

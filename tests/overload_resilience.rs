@@ -13,7 +13,6 @@ use std::time::{Duration, Instant};
 use rndi::core::context::ContextExt;
 use rndi::core::env::{keys, Environment};
 use rndi::core::error::{NamingError, Result};
-use rndi::core::lease::ManualClock;
 use rndi::core::mem::MemContext;
 use rndi::core::name::{CompositeName, CompoundSyntax};
 use rndi::core::op::{NamingOp, OpKind, OpOutcome};
@@ -23,6 +22,7 @@ use rndi::core::spi::{
 };
 use rndi::core::value::BoundValue;
 use rndi::net::{NetClient, NetServer, ServerConfig};
+use rndi::obs::clock::ManualClock;
 use rndi::shard::{ShardInfo, ShardMap, ShardRouter};
 
 /// A lookup backend with a fixed ≈2 ms service time — slow enough that a
