@@ -110,9 +110,23 @@ pub fn desired_members(engine: &GossipEngine) -> Vec<String> {
     desired
 }
 
-/// Does `members` hold a strict majority of every name the table knows?
+/// Do the members of `members` this table believes *Alive* form a
+/// strict majority of every name it knows? Suspects stay in a view but
+/// never vote it in: a minority that merely has not yet written off one
+/// unreachable peer would otherwise count it, mint a view of the same
+/// sequence as the majority's, and fork the lineage — the same count
+/// the write gate makes.
 pub fn quorum_holds(engine: &GossipEngine, members: &[String]) -> bool {
-    members.len() * 2 > engine.table.known_count()
+    let alive = members
+        .iter()
+        .filter(|m| {
+            engine
+                .table
+                .get(m)
+                .is_some_and(|i| i.state == MemberState::Alive)
+        })
+        .count();
+    alive * 2 > engine.table.known_count()
 }
 
 /// Decide whether this node should install a new view now. `me` must be
@@ -233,6 +247,27 @@ mod tests {
         assert!(is_candidate(&e, "a"));
         assert!(propose(&e, "a").is_none(), "2 of 5 is not a quorum");
         assert!(!quorum_holds(&e, &["a".into(), "b".into()]));
+    }
+
+    #[test]
+    fn suspects_stay_in_a_view_but_do_not_vote_it_in() {
+        // A minority that has written off two of the majority but only
+        // suspects the third must not count it toward a quorum.
+        let mut e = engine_with(
+            "a",
+            &[
+                ("b", MemberState::Alive),
+                ("c", MemberState::Dead),
+                ("d", MemberState::Dead),
+                ("e", MemberState::Suspect),
+            ],
+        );
+        e.observe_view(&ViewSummary {
+            seq: 2,
+            members: vec!["a".into(), "b".into(), "c".into(), "d".into(), "e".into()],
+        });
+        assert_eq!(desired_members(&e), vec!["a", "b", "e"]);
+        assert!(propose(&e, "a").is_none(), "2 alive of 5 is not a quorum");
     }
 
     #[test]

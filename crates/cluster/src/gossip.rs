@@ -51,6 +51,9 @@ pub struct GossipEngine {
     best_view: Option<ViewSummary>,
     /// Completed gossip rounds (exported as a counter).
     pub rounds: u64,
+    /// Demotion rumours not adopted (see [`GossipEngine::merge`]), kept
+    /// to hand to their subject.
+    disputed: BTreeMap<String, MemberEntry>,
 }
 
 impl GossipEngine {
@@ -62,16 +65,31 @@ impl GossipEngine {
             interval_ms: interval_ms.max(1),
             best_view: None,
             rounds: 0,
+            disputed: BTreeMap::new(),
         }
     }
 
-    /// The Sync request this node sends a peer.
-    pub fn sync_request(&self) -> GossipRequest {
+    /// The Sync request this node sends the peer called `to`.
+    pub fn sync_request(&self, to: &str) -> GossipRequest {
         GossipRequest::Sync {
             from: self.table.me().entry(),
-            entries: self.table.entries(),
+            entries: self.entries_for(to),
             view: self.best_view.clone(),
         }
+    }
+
+    /// The table as told to `peer`: a rumour demoting `peer` that this
+    /// node disputes stands in for its own belief, so `peer` refutes it.
+    fn entries_for(&self, peer: &str) -> Vec<MemberEntry> {
+        let mut entries = self.table.entries();
+        if let Some(d) = self.disputed.get(peer) {
+            for e in entries.iter_mut().filter(|e| e.name == peer) {
+                if d.incarnation >= e.incarnation {
+                    *e = d.clone();
+                }
+            }
+        }
+        entries
     }
 
     /// Serve a peer's Sync: merge its table and view, heartbeat it, and
@@ -92,15 +110,14 @@ impl GossipEngine {
             self.observe_view(v);
         }
         GossipReply::Sync {
-            entries: self.table.entries(),
+            entries: self.entries_for(&from.name),
             view: self.best_view.clone(),
         }
     }
 
     /// Absorb the reply to a Sync we initiated. Only a substantive
-    /// `Sync` reply counts as a heartbeat — a bare `Ack` (what a
-    /// partition-simulating handler returns) proves a TCP path, not a
-    /// cooperating peer.
+    /// `Sync` reply counts as a heartbeat — a bare `Ack` proves a
+    /// transport path, not a cooperating peer.
     pub fn absorb_reply(&mut self, peer: &str, reply: &GossipReply, now_ms: u64) {
         if let GossipReply::Sync { entries, view } = reply {
             self.note_contact(peer, now_ms);
@@ -120,7 +137,26 @@ impl GossipEngine {
     /// re-demote it on the next tick — a flap loop that churns views
     /// forever. Dropping the detector instead means phi stays 0 until
     /// the first *direct* contact restarts the clock.
+    ///
+    /// Local evidence also outranks hearsay: a rumour that demotes a
+    /// peer this node itself heard from within the suspicion bound is
+    /// not adopted. Otherwise the stale verdicts a healed minority
+    /// carries ("the majority is Dead") would, at equal incarnation,
+    /// knock live majority members out of their own colleagues' tables
+    /// before they can refute, and a majority member would mint a view
+    /// excising its live peers — a fork of the lineage. The rumour is
+    /// kept as disputed and handed to its subject on the next Sync
+    /// either way, so the subject still refutes it even where the node
+    /// that started it cannot reach the subject itself.
     fn merge(&mut self, entry: &MemberEntry, now_ms: u64) {
+        let heard = self
+            .phi
+            .get(&entry.name)
+            .is_some_and(|d| d.phi(now_ms) < self.phi_threshold);
+        if heard && entry.state > MemberState::Alive {
+            self.disputed.insert(entry.name.clone(), entry.clone());
+            return;
+        }
         let before = self.table.get(&entry.name).map(|m| m.state);
         if !self.table.observe(entry, now_ms) {
             return;
@@ -153,11 +189,6 @@ impl GossipEngine {
 
     pub fn best_view(&self) -> Option<&ViewSummary> {
         self.best_view.as_ref()
-    }
-
-    /// Current phi for `peer` (0.0 for unknown peers).
-    pub fn phi_of(&self, peer: &str, now_ms: u64) -> f64 {
-        self.phi.get(peer).map_or(0.0, |d| d.phi(now_ms))
     }
 
     /// Largest phi across peers this node still counts on (diagnostics).
@@ -232,7 +263,7 @@ mod tests {
             from,
             entries,
             view,
-        } = a.sync_request()
+        } = a.sync_request(b.table.my_name())
         else {
             unreachable!()
         };
@@ -269,6 +300,31 @@ mod tests {
         let dead_at = 235 + 1_000;
         a.tick(dead_at);
         assert!(a.table.get("b").unwrap().state >= MemberState::Dead);
+    }
+
+    #[test]
+    fn death_rumour_about_a_peer_heard_directly_goes_to_the_peer_only() {
+        let mut a = engine("a");
+        let mut b = engine("b");
+        let mut c = engine("c");
+        for now in [5, 10] {
+            exchange(&mut a, &mut b, now);
+        }
+        exchange(&mut c, &mut b, 10);
+        c.table.demote("b", MemberState::Dead, 10);
+        // c's stale verdict reaches a, which heard from b 5ms ago...
+        exchange(&mut c, &mut a, 15);
+        assert_eq!(a.table.get("b").unwrap().state, MemberState::Alive);
+        // ...and a hands it on to b, which refutes it with a bump.
+        exchange(&mut a, &mut b, 16);
+        assert_eq!(b.table.incarnation(), 2);
+        assert_eq!(a.table.get("b").unwrap().incarnation, 2);
+        // ...but a peer a has never heard from directly takes the rumour.
+        let mut d = engine("d");
+        exchange(&mut d, &mut c, 15);
+        c.table.demote("d", MemberState::Dead, 15);
+        exchange(&mut c, &mut a, 20);
+        assert_eq!(a.table.get("d").unwrap().state, MemberState::Dead);
     }
 
     #[test]

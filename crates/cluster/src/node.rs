@@ -10,14 +10,16 @@
 //! (sequencer forwards, ordered deliveries, view installs, state
 //! snapshots) peer-to-peer.
 //!
-//! Concurrency model: all protocol state lives in one `Inner` behind a
-//! mutex, and **no TCP I/O ever happens while it is held**. The server's
-//! gossip handler runs inline on a shard event loop, so it only mutates
-//! state and appends wire frames to an *outbox*; a per-node pacer thread
-//! drains the outbox, runs gossip rounds, evaluates phi, drives view
-//! proposals, pumps the HDNS replica, and exports telemetry.
+//! Concurrency model: every protocol decision lives in the node's
+//! sans-IO [`Plane`] behind a mutex, and **no TCP I/O ever happens while
+//! it is held**. This module is only the plane's TCP driver: the
+//! server's gossip handler runs inline on a shard event loop and hands
+//! each request to the plane, and a per-node pacer thread runs the
+//! plane's gossip rounds on the wall clock, carries its sends over
+//! `NetClient`s, feeds the replies back, pumps the HDNS replica, and
+//! exports telemetry.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -25,22 +27,16 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use groupcast::{Addr, MemberCore, OrderingMode, Outgoing, SendError, Wire};
-use hdns::{
-    HdnsEntry, HdnsEvent, HdnsNode, Op, OpOutcome as HdnsOutcome, RealmError, Replica,
-    ReplicaChannel,
-};
+use hdns::{HdnsEntry, HdnsEvent, HdnsNode, Op, OpOutcome as HdnsOutcome, RealmError, Replica};
 use rndi_core::error::{NamingError, Result};
-use rndi_net::proto::{GossipReply, GossipRequest, MemberEntry, MemberState, ViewSummary};
+use rndi_net::proto::{GossipReply, GossipRequest, MemberEntry, ViewSummary};
 use rndi_net::{GossipHandler, MembershipStats, NetClient, NetServer, ServerConfig};
 use rndi_obs::metrics::{names, Registry};
 use rndi_obs::TraceCtx;
 use rndi_providers::hdns::HdnsProviderContext;
 
-use crate::bridge::{self, addr_of};
 use crate::config::ClusterConfig;
-use crate::gossip::GossipEngine;
-use crate::membership::MembershipTable;
+use crate::plane::{Plane, PlaneChannel};
 
 /// How long an in-process [`ClusterNode::write_sync`] waits for its
 /// ordered self-delivery.
@@ -54,254 +50,54 @@ const WRITE_BUDGET: Duration = Duration::from_millis(3_000);
 /// node going silent.
 const BACKEND_WRITE_BUDGET: Duration = Duration::from_millis(250);
 
-/// All protocol state of one node. See the module doc for the locking
-/// rule: mutate freely, never touch a socket while holding this.
-struct Inner {
-    engine: GossipEngine,
-    core: MemberCore,
-    group: String,
-    connected: bool,
-    /// Reverse of [`bridge::addr_of`] over every known member name.
-    names_by_addr: BTreeMap<Addr, String>,
-    /// Group wires awaiting the pacer's flush, per target endpoint.
-    outbox: Vec<(String, GossipRequest)>,
-    /// Endpoints this node refuses to exchange with (fault injection:
-    /// a symmetric pair of blocks simulates a network partition).
-    blocked: BTreeSet<String>,
-    /// Seed endpoint still being courted (dropped once it appears in the
-    /// membership table).
-    seed: Option<String>,
-}
-
-impl Inner {
-    fn now_names(&mut self) {
-        self.names_by_addr = self
-            .engine
-            .table
-            .entries()
-            .into_iter()
-            .map(|e| (addr_of(&e.name), e.name))
-            .collect();
-    }
-
-    fn endpoint_of(&self, name: &str) -> Option<String> {
-        self.engine
-            .table
-            .get(name)
-            .map(|m| m.endpoint.clone())
-            .filter(|ep| !ep.is_empty())
-    }
-
-    /// Route protocol sends: self-targeted wires loop straight back into
-    /// the core (worklist, not recursion — a Forward to myself yields the
-    /// Ordered fan-out in the same pass); peer wires go to the outbox.
-    fn deliver(&mut self, outgoing: Vec<Outgoing>) {
-        let me = self.core.me();
-        let mut work: Vec<Outgoing> = outgoing;
-        while let Some(out) = work.pop() {
-            if out.to == me {
-                work.extend(self.core.on_wire(me, out.wire));
-                continue;
-            }
-            let Some(name) = self.names_by_addr.get(&out.to).cloned() else {
-                continue;
-            };
-            let Some(ep) = self.endpoint_of(&name) else {
-                continue;
-            };
-            if self.blocked.contains(&ep) {
-                continue;
-            }
-            let bytes = serde_json::to_vec(&out.wire).expect("wires serialize");
-            self.outbox.push((
-                ep,
-                GossipRequest::Group {
-                    group: self.group.clone(),
-                    from: me.0,
-                    wire: bytes,
-                },
-            ));
-        }
-    }
-
-    /// Strict-majority write gate: the installed view must contain a
-    /// strict majority of *all known* member names still believed Alive.
-    /// A minority partition fails this and refuses writes, which is what
-    /// makes "no acknowledged write lost" hold across heals.
-    fn writes_allowed(&self) -> bool {
-        let Some(view) = self.core.view() else {
-            return false;
-        };
-        // A node whose installed view trails the lineage it has *heard*
-        // is healing from a partition: the gossip piggyback guarantees it
-        // learned the higher-sequence view no later than it learned its
-        // peers were back, so refusing here closes the window where a
-        // stale five-member view would pass the quorum count again.
-        if self
-            .engine
-            .best_view()
-            .is_some_and(|best| best.seq > view.id.seq)
-        {
-            return false;
-        }
-        let alive_in_view = view
-            .members
-            .iter()
-            .filter(|a| {
-                self.names_by_addr
-                    .get(a)
-                    .and_then(|n| self.engine.table.get(n))
-                    .is_some_and(|m| m.state == MemberState::Alive)
-            })
-            .count();
-        alive_in_view * 2 > self.engine.table.known_count()
-    }
-
-    /// The installed view rendered in names (for gossip and telemetry).
-    fn installed_summary(&self) -> Option<ViewSummary> {
-        let view = self.core.view()?;
-        let members = view
-            .members
-            .iter()
-            .map(|a| {
-                self.names_by_addr
-                    .get(a)
-                    .cloned()
-                    .unwrap_or_else(|| format!("?{}", a.0))
-            })
-            .collect();
-        Some(ViewSummary {
-            seq: view.id.seq,
-            members,
-        })
-    }
-}
-
-/// The replica's transport handle: routes [`HdnsNode`]'s group traffic
-/// through the shared [`Inner`] onto real TCP.
-#[derive(Clone)]
-pub struct TcpChannel {
-    inner: Arc<Mutex<Inner>>,
-}
-
-impl ReplicaChannel for TcpChannel {
-    fn addr(&self) -> Addr {
-        self.inner.lock().core.me()
-    }
-
-    fn connect(&self, group: &str) -> std::result::Result<(), SendError> {
-        let mut inner = self.inner.lock();
-        inner.group = group.to_string();
-        inner.connected = true;
-        Ok(())
-    }
-
-    fn disconnect(&self) {
-        let mut inner = self.inner.lock();
-        inner.connected = false;
-        inner.core.clear_view();
-    }
-
-    fn mcast(&self, bytes: Vec<u8>) -> std::result::Result<(), SendError> {
-        let mut inner = self.inner.lock();
-        if !inner.connected {
-            return Err(SendError::NotConnected);
-        }
-        let outgoing = inner.core.mcast(bytes)?;
-        inner.deliver(outgoing);
-        Ok(())
-    }
-
-    fn poll(&self) -> Vec<groupcast::ChannelEvent> {
-        self.inner.lock().core.take_events()
-    }
-
-    fn provide_state(&self, to: Addr, bytes: Vec<u8>) -> std::result::Result<(), SendError> {
-        let mut inner = self.inner.lock();
-        let out = inner.core.provide_state(to, bytes);
-        inner.deliver(vec![out]);
-        Ok(())
-    }
-}
-
-/// Serves inbound `Gossip` envelopes on the server's event loop: quick
-/// state merges only, every resulting send deferred to the outbox.
+/// Serves inbound `Gossip` envelopes on the server's event loop.
 struct Handler {
-    inner: Arc<Mutex<Inner>>,
+    plane: PlaneChannel,
     epoch: Instant,
 }
 
 impl GossipHandler for Handler {
     fn handle(&self, req: GossipRequest) -> GossipReply {
         let now = self.epoch.elapsed().as_millis() as u64;
-        let mut inner = self.inner.lock();
-        match req {
-            GossipRequest::Sync {
-                from,
-                entries,
-                view,
-            } => {
-                if inner.blocked.contains(&from.endpoint) {
-                    // Partitioned-off peer: reveal nothing, learn nothing.
-                    return GossipReply::Ack;
-                }
-                let reply = inner
-                    .engine
-                    .handle_sync(&from, &entries, view.as_ref(), now);
-                inner.now_names();
-                reply
-            }
-            GossipRequest::Group { group, from, wire } => {
-                if group != inner.group || !inner.connected {
-                    return GossipReply::Ack;
-                }
-                let from = Addr(from);
-                if let Some(name) = inner.names_by_addr.get(&from).cloned() {
-                    if let Some(ep) = inner.endpoint_of(&name) {
-                        if inner.blocked.contains(&ep) {
-                            return GossipReply::Ack;
-                        }
-                    }
-                    inner.engine.note_contact(&name, now);
-                }
-                if let Ok(w) = serde_json::from_slice::<Wire>(&wire) {
-                    // Never regress the lineage: a candidate that healed
-                    // out of a minority partition keeps re-asserting its
-                    // stale view until gossip catches it up, and blindly
-                    // installing that would roll a majority-side member
-                    // back. (Same-seq conflicts cannot arise — a minority
-                    // can never reach the quorum needed to mint one.)
-                    let stale_install = match &w {
-                        Wire::InstallView(v) => {
-                            inner.core.view().is_some_and(|cur| v.id.seq < cur.id.seq)
-                        }
-                        _ => false,
-                    };
-                    if !stale_install {
-                        let outgoing = inner.core.on_wire(from, w);
-                        inner.deliver(outgoing);
-                    }
-                }
-                GossipReply::Ack
-            }
-        }
+        self.plane.plane().handle(req, now)
     }
 }
 
 /// The node's HDNS replica as the provider sees it: reads answer from
 /// the local store ("nearest node" semantics); writes replicate through
 /// the group and only acknowledge after ordered self-delivery — and only
-/// while this node sits in the primary partition.
-struct NodeReplica {
-    inner: Arc<Mutex<Inner>>,
-    hdns: Arc<Mutex<HdnsNode<TcpChannel>>>,
+/// while this node sits in the primary partition. Both plane drivers
+/// write through it.
+#[derive(Clone)]
+pub struct NodeReplica {
+    plane: PlaneChannel,
+    hdns: Arc<Mutex<HdnsNode<PlaneChannel>>>,
 }
 
 impl NodeReplica {
-    /// The write gate, then submit, then poll for the ordered outcome
-    /// until `budget` runs out.
-    fn write_within(&self, op: Op, budget: Duration) -> std::result::Result<(), RealmError> {
-        if !self.inner.lock().writes_allowed() {
+    /// A replica over `plane`, joined to `group`.
+    pub fn join(plane: &PlaneChannel, group: &str) -> Result<NodeReplica> {
+        let hdns = HdnsNode::new(plane.clone(), None);
+        hdns.connect(group)
+            .map_err(|e| NamingError::service(format!("join group: {e}")))?;
+        Ok(NodeReplica {
+            plane: plane.clone(),
+            hdns: Arc::new(Mutex::new(hdns)),
+        })
+    }
+
+    /// The one write path: the write gate, then submit, then pump the
+    /// replica until the ordered outcome arrives or `budget` has passed
+    /// on `now`. The driver supplies the clock and the `wait` between
+    /// polls (a wall-clock sleep, or a step of virtual time).
+    pub fn write_within(
+        &self,
+        op: Op,
+        budget: Duration,
+        now: impl Fn() -> Duration,
+        mut wait: impl FnMut(),
+    ) -> std::result::Result<(), RealmError> {
+        if !self.plane.plane().writes_allowed() {
             return Err(RealmError::Unavailable(
                 "not in the primary partition: writes refused",
             ));
@@ -311,7 +107,7 @@ impl NodeReplica {
             .lock()
             .submit(op)
             .map_err(|_| RealmError::Unavailable("replica is not in the group"))?;
-        let deadline = Instant::now() + budget;
+        let deadline = now() + budget;
         loop {
             {
                 let mut node = self.hdns.lock();
@@ -324,17 +120,28 @@ impl NodeReplica {
                     }
                 }
             }
-            if Instant::now() >= deadline {
+            if now() >= deadline {
                 return Err(RealmError::Unavailable("write not ordered within budget"));
             }
-            std::thread::sleep(Duration::from_millis(1));
+            wait();
         }
+    }
+
+    /// [`NodeReplica::write_within`] on the wall clock.
+    fn write_wall(&self, op: Op, budget: Duration) -> std::result::Result<(), RealmError> {
+        let start = Instant::now();
+        self.write_within(
+            op,
+            budget,
+            || start.elapsed(),
+            || std::thread::sleep(Duration::from_millis(1)),
+        )
     }
 }
 
 impl Replica for NodeReplica {
     fn write(&self, op: Op, _trace: Option<TraceCtx>) -> std::result::Result<(), RealmError> {
-        self.write_within(op, BACKEND_WRITE_BUDGET)
+        self.write_wall(op, BACKEND_WRITE_BUDGET)
     }
 
     fn lookup(&self, path: &str) -> Option<HdnsEntry> {
@@ -358,7 +165,7 @@ impl Replica for NodeReplica {
 pub struct ClusterNode {
     config: ClusterConfig,
     endpoint: String,
-    inner: Arc<Mutex<Inner>>,
+    plane: PlaneChannel,
     replica: Arc<NodeReplica>,
     server: Option<NetServer>,
     registry: Arc<Registry>,
@@ -367,31 +174,13 @@ pub struct ClusterNode {
 }
 
 impl ClusterNode {
-    /// Boot a node: bind the server, join the group, start gossiping.
+    /// Boot a node: join the group, bind the server, start gossiping.
     /// With no seed configured the node bootstraps the view lineage as a
     /// singleton; otherwise it courts the seed until absorbed.
     pub fn start(config: ClusterConfig) -> Result<ClusterNode> {
         let epoch = Instant::now();
-        let me = addr_of(&config.name);
-        let table = MembershipTable::new(&config.name, "", config.quarantine_ms);
-        let engine = GossipEngine::new(table, config.phi_threshold, config.gossip_interval_ms);
-        let inner = Arc::new(Mutex::new(Inner {
-            engine,
-            core: MemberCore::new(me, OrderingMode::Sequencer),
-            group: config.group.clone(),
-            connected: false,
-            names_by_addr: BTreeMap::new(),
-            outbox: Vec::new(),
-            blocked: BTreeSet::new(),
-            seed: config.seed.clone(),
-        }));
-        let channel = TcpChannel {
-            inner: inner.clone(),
-        };
-        let replica = Arc::new(NodeReplica {
-            inner: inner.clone(),
-            hdns: Arc::new(Mutex::new(HdnsNode::new(channel, None))),
-        });
+        let plane = PlaneChannel::new(Plane::new(&config));
+        let replica = Arc::new(NodeReplica::join(&plane, &config.group)?);
         let registry = Arc::new(Registry::new());
         let pipeline = HdnsProviderContext::for_replica(replica.clone(), &config.name, &config.env);
         let provider = pipeline.backend().clone();
@@ -402,50 +191,29 @@ impl ClusterNode {
         )?;
         let endpoint = server.local_addr().to_string();
         server.set_gossip_handler(Arc::new(Handler {
-            inner: inner.clone(),
+            plane: plane.clone(),
             epoch,
         }));
         let membership = server.membership_stats();
 
-        {
-            let mut i = inner.lock();
-            i.engine.table.set_my_endpoint(&endpoint);
-            i.now_names();
-        }
-        replica
-            .hdns
-            .lock()
-            .connect(&config.group)
-            .map_err(|e| NamingError::service(format!("join group: {e}")))?;
-        if config.seed.is_none() {
-            let mut i = inner.lock();
-            let (view, summary) = bridge::bootstrap(&config.name);
-            i.engine.observe_view(&summary);
-            i.core.install_view(view);
-        }
+        plane.plane().set_endpoint(&endpoint);
 
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let pacer = {
-            let inner = inner.clone();
+            let plane = plane.clone();
             let stop = stop.clone();
             let registry = registry.clone();
-            let membership = membership.clone();
             let config = config.clone();
-            let endpoint = endpoint.clone();
             std::thread::Builder::new()
                 .name(format!("cluster-pacer-{}", config.name))
-                .spawn(move || {
-                    pace(
-                        inner, provider, stop, registry, membership, config, endpoint, epoch,
-                    )
-                })
+                .spawn(move || pace(plane, provider, stop, registry, membership, config, epoch))
                 .map_err(|e| NamingError::service(format!("spawn pacer: {e}")))?
         };
 
         Ok(ClusterNode {
             config,
             endpoint,
-            inner,
+            plane,
             replica,
             server: Some(server),
             registry,
@@ -464,22 +232,22 @@ impl ClusterNode {
     }
 
     pub fn incarnation(&self) -> u64 {
-        self.inner.lock().engine.table.incarnation()
+        self.plane.plane().incarnation()
     }
 
     /// This node's current belief about every member.
     pub fn members(&self) -> Vec<MemberEntry> {
-        self.inner.lock().engine.table.entries()
+        self.plane.plane().members()
     }
 
     /// The installed group view, in member names.
     pub fn view(&self) -> Option<ViewSummary> {
-        self.inner.lock().installed_summary()
+        self.plane.plane().view()
     }
 
     /// Is this node currently allowed to acknowledge writes?
     pub fn writes_allowed(&self) -> bool {
-        self.inner.lock().writes_allowed()
+        self.plane.plane().writes_allowed()
     }
 
     /// Entries in the local replica store.
@@ -495,19 +263,7 @@ impl ClusterNode {
     /// Replicate a write and wait for its ordered outcome (primary
     /// partition only) — the served write path with a longer budget.
     pub fn write_sync(&self, op: Op) -> std::result::Result<(), RealmError> {
-        self.replica.write_within(op, WRITE_BUDGET)
-    }
-
-    /// Fault injection: refuse all exchange with `endpoints` (apply the
-    /// mirror-image block on the other side for a symmetric partition).
-    pub fn block_endpoints(&self, endpoints: &[String]) {
-        let mut inner = self.inner.lock();
-        inner.blocked.extend(endpoints.iter().cloned());
-    }
-
-    /// Heal all injected partitions on this node.
-    pub fn clear_blocked(&self) {
-        self.inner.lock().blocked.clear();
+        self.replica.write_wall(op, WRITE_BUDGET)
     }
 
     /// The node's private metrics registry (scraped remotely via admin).
@@ -518,10 +274,7 @@ impl ClusterNode {
     /// Crash the node: tear sockets down mid-request, no goodbyes. The
     /// rest of the cluster finds out the phi-accrual way.
     pub fn kill(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(p) = self.pacer.take() {
-            let _ = p.join();
-        }
+        self.stop_pacer();
         if let Some(s) = self.server.take() {
             s.abort();
         }
@@ -529,238 +282,97 @@ impl ClusterNode {
 
     /// Graceful exit: persist, leave the group, drain the server.
     pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(p) = self.pacer.take() {
-            let _ = p.join();
-        }
+        self.stop_pacer();
         self.replica.hdns.lock().shutdown();
         if let Some(s) = self.server.take() {
             s.shutdown();
+        }
+    }
+
+    fn stop_pacer(&mut self) {
+        self.stop.store(true, Ordering::SeqCst);
+        if let Some(p) = self.pacer.take() {
+            let _ = p.join();
         }
     }
 }
 
 impl Drop for ClusterNode {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(p) = self.pacer.take() {
-            let _ = p.join();
-        }
+        self.stop_pacer();
         if let Some(s) = self.server.take() {
             s.abort();
         }
     }
 }
 
-/// One gossip round's outbound work, computed under the lock, executed
-/// off it.
-struct RoundPlan {
-    sync: GossipRequest,
-    /// `(peer name if known, endpoint)` to Sync with.
-    targets: Vec<(Option<String>, String)>,
-    wires: Vec<(String, GossipRequest)>,
-}
-
-#[allow(clippy::too_many_arguments)]
+/// The pacer: one plane round per gossip interval on the wall clock.
 fn pace(
-    inner: Arc<Mutex<Inner>>,
+    plane: PlaneChannel,
     provider: Arc<HdnsProviderContext>,
     stop: Arc<std::sync::atomic::AtomicBool>,
     registry: Arc<Registry>,
     membership: Arc<MembershipStats>,
     config: ClusterConfig,
-    my_endpoint: String,
     epoch: Instant,
 ) {
+    let now_ms = || epoch.elapsed().as_millis() as u64;
     let mut clients: BTreeMap<String, NetClient> = BTreeMap::new();
     let interval = Duration::from_millis(config.gossip_interval_ms);
     while !stop.load(Ordering::SeqCst) {
-        let now = epoch.elapsed().as_millis() as u64;
-
-        // Phase 1: state only, under the lock.
-        let plan = {
-            let mut i = inner.lock();
-            i.engine.tick(now);
-            i.now_names();
-            maintain_views(&mut i, &config.name);
-            let mut targets: Vec<(Option<String>, String)> = i
-                .engine
-                .gossip_targets()
-                .into_iter()
-                .map(|(n, ep)| (Some(n), ep))
-                .collect();
-            if let Some(seed) = i.seed.clone() {
-                let known = targets.iter().any(|(_, ep)| *ep == seed);
-                if known || i.engine.table.known_count() > 1 {
-                    i.seed = None; // absorbed; normal gossip takes over
-                } else {
-                    targets.push((None, seed));
-                }
+        // The round's sends are planned under the lock and carried off
+        // it. Failed peers just miss heartbeats — that is the signal,
+        // not an error to handle.
+        let sends = plane.plane().round(now_ms());
+        for (ep, req) in sends {
+            if !clients.contains_key(&ep) {
+                match NetClient::new(&ep, &config.env) {
+                    Ok(c) => clients.insert(ep.clone(), c),
+                    Err(_) => continue,
+                };
             }
-            targets
-                .retain(|(_, ep)| !ep.is_empty() && *ep != my_endpoint && !i.blocked.contains(ep));
-            i.engine.rounds += 1;
-            RoundPlan {
-                sync: i.engine.sync_request(),
-                targets,
-                wires: std::mem::take(&mut i.outbox),
-            }
-        };
-
-        // Phase 2: network, no lock. Failed peers just miss heartbeats —
-        // that is the signal, not an error to handle.
-        for (peer, ep) in &plan.targets {
-            let Some(client) = client_for(&mut clients, ep, &config) else {
-                continue;
-            };
-            match client.gossip(plan.sync.clone()) {
-                Ok(reply) => {
-                    let now = epoch.elapsed().as_millis() as u64;
-                    let mut i = inner.lock();
-                    let name = peer.clone().or_else(|| {
-                        // Seed contact: identify the peer by endpoint.
-                        if let GossipReply::Sync { entries, .. } = &reply {
-                            entries
-                                .iter()
-                                .find(|e| e.endpoint == *ep)
-                                .map(|e| e.name.clone())
-                        } else {
-                            None
-                        }
-                    });
-                    if let Some(name) = name {
-                        i.engine.absorb_reply(&name, &reply, now);
-                        i.now_names();
-                    }
-                }
+            match clients[&ep].gossip(req) {
+                Ok(reply) => plane.plane().on_reply(&ep, &reply, now_ms()),
                 Err(_) => {
-                    clients.remove(ep);
-                }
-            }
-        }
-        for (ep, wire) in plan.wires {
-            if let Some(client) = client_for(&mut clients, &ep, &config) {
-                if client.gossip(wire).is_err() {
                     clients.remove(&ep);
                 }
             }
         }
 
-        // Phase 3: pump the replica (applies deliveries, answers state
-        // requests into the outbox for the next flush) and hand the
-        // resulting change events to the provider's listeners.
+        // Pump the replica (applies deliveries, answers state requests
+        // into the plane for the next round) and hand the resulting
+        // change events to the provider's listeners.
         provider.poll_events();
 
-        // Phase 4: telemetry.
-        export(&inner, &registry, &membership, epoch);
-
+        export(&plane.plane(), &registry, &membership, now_ms());
         std::thread::sleep(interval);
-    }
-}
-
-fn client_for<'a>(
-    clients: &'a mut BTreeMap<String, NetClient>,
-    ep: &str,
-    config: &ClusterConfig,
-) -> Option<&'a NetClient> {
-    if !clients.contains_key(ep) {
-        match NetClient::new(ep, &config.env) {
-            Ok(c) => {
-                clients.insert(ep.to_string(), c);
-            }
-            Err(_) => return None,
-        }
-    }
-    clients.get(ep)
-}
-
-/// Drive the view lineage: fold the installed view in, let the (unique)
-/// candidate propose the next view when the alive-set changed and quorum
-/// holds, and keep re-asserting the current view to its members so a
-/// dropped `InstallView` heals instead of wedging a joiner.
-fn maintain_views(inner: &mut Inner, me: &str) {
-    if !inner.connected {
-        return;
-    }
-    if let Some(summary) = inner.installed_summary() {
-        inner.engine.observe_view(&summary);
-    }
-    if let Some(p) = bridge::propose(&inner.engine, me) {
-        let summary = bridge::summarize(&p.view, &p.names);
-        inner.engine.observe_view(&summary);
-        inner.core.install_view(p.view.clone());
-        queue_install(inner, &p.view, &p.names, me);
-        return;
-    }
-    // Steady state: the candidate re-asserts (idempotent at receivers).
-    if bridge::is_candidate(&inner.engine, me) {
-        if let (Some(view), Some(summary)) = (inner.core.view().cloned(), inner.installed_summary())
-        {
-            queue_install(inner, &view, &summary.members, me);
-        }
-    }
-}
-
-fn queue_install(inner: &mut Inner, view: &groupcast::View, names: &[String], me: &str) {
-    for name in names {
-        if name == me {
-            continue;
-        }
-        let Some(ep) = inner.endpoint_of(name) else {
-            continue;
-        };
-        if inner.blocked.contains(&ep) {
-            continue;
-        }
-        let bytes = serde_json::to_vec(&Wire::InstallView(view.clone())).expect("wires serialize");
-        inner.outbox.push((
-            ep,
-            GossipRequest::Group {
-                group: inner.group.clone(),
-                from: inner.core.me().0,
-                wire: bytes,
-            },
-        ));
     }
 }
 
 /// Export membership into the health atomics (served by `Admin::Health`)
 /// and the node's registry (merged by cluster scrapes).
-fn export(
-    inner: &Arc<Mutex<Inner>>,
-    registry: &Arc<Registry>,
-    membership: &Arc<MembershipStats>,
-    epoch: Instant,
-) {
-    let now = epoch.elapsed().as_millis() as u64;
-    let i = inner.lock();
-    let alive = i.engine.table.count(MemberState::Alive) as u64;
-    let suspect = i.engine.table.count(MemberState::Suspect) as u64;
-    let dead = (i.engine.table.count(MemberState::Dead)
-        + i.engine.table.count(MemberState::Quarantined)) as u64;
-    let epoch_seq = i.core.view().map_or(0, |v| v.id.seq);
-    let rounds = i.engine.rounds;
-    let phi_millis = (i.engine.max_phi(now) * 1_000.0) as i64;
-    drop(i);
-
-    membership.alive.store(alive, Ordering::Relaxed);
-    membership.suspect.store(suspect, Ordering::Relaxed);
-    membership.dead.store(dead, Ordering::Relaxed);
-    membership.view_epoch.store(epoch_seq, Ordering::Relaxed);
+fn export(plane: &Plane, registry: &Registry, membership: &MembershipStats, now_ms: u64) {
+    let s = plane.stats(now_ms);
+    membership.alive.store(s.alive, Ordering::Relaxed);
+    membership.suspect.store(s.suspect, Ordering::Relaxed);
+    membership.dead.store(s.dead, Ordering::Relaxed);
+    membership.view_epoch.store(s.view_epoch, Ordering::Relaxed);
 
     registry
         .gauge(names::CLUSTER_MEMBERS, &[])
-        .set(alive as i64);
+        .set(s.alive as i64);
     registry
         .gauge(names::CLUSTER_SUSPECTS, &[])
-        .set(suspect as i64);
+        .set(s.suspect as i64);
     registry
         .gauge(names::CLUSTER_VIEW_EPOCH, &[])
-        .set(epoch_seq as i64);
-    registry.gauge(names::CLUSTER_PHI, &[]).set(phi_millis);
+        .set(s.view_epoch as i64);
+    registry
+        .gauge(names::CLUSTER_PHI, &[])
+        .set((s.max_phi * 1_000.0) as i64);
     let counter = registry.counter(names::CLUSTER_GOSSIP_ROUNDS, &[]);
     let done = counter.get();
-    if rounds > done {
-        counter.add(rounds - done);
+    if s.rounds > done {
+        counter.add(s.rounds - done);
     }
 }

@@ -409,16 +409,6 @@ impl Cluster {
         self.core.lock().in_flight.len()
     }
 
-    /// Queued inbound bytes at one member (flow-control diagnostics).
-    pub fn inbox_bytes(&self, addr: Addr) -> u64 {
-        self.core
-            .lock()
-            .nodes
-            .get(&addr)
-            .map(|n| n.inbox.bytes())
-            .unwrap_or(0)
-    }
-
     // ------------------------------------------------------------------
     // Internals
     // ------------------------------------------------------------------

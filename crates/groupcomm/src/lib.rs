@@ -6,8 +6,9 @@
 //! decisions regarding fault tolerance and scalability until run time."
 //! This crate reimplements the parts HDNS observably depends on:
 //!
-//! * **Membership** ([`view::View`], [`protocols::gms`]) — join/leave,
-//!   failure-driven view changes, coordinator election (oldest member).
+//! * **Membership** ([`view::View`], [`cluster::Cluster`]) — join/leave,
+//!   failure-driven view changes, coordinator election (oldest member),
+//!   and the merged view after a partition heals ([`protocols::gms`]).
 //! * **Ordering** ([`config::OrderingMode`]):
 //!   [`protocols::sequencer`] — coordinator-stamped **total order**
 //!   (the Virtual Synchrony suite: "guarantees an atomic broadcast and
@@ -15,8 +16,11 @@
 //!   [`protocols::bimodal`] — best-effort multicast with gossip
 //!   anti-entropy ("improves scalability, for the price of probabilistic
 //!   message delivery reliability"), the HDNS default.
-//! * **Failure handling** ([`protocols::fd`]) — reachability-based suspect
-//!   detection feeding GMS.
+//! * **Failure handling** — a reachability *oracle*, not a detector: the
+//!   cluster knows which members are alive and which partition side each
+//!   sits on, and recomputes every side's view from that directly
+//!   (`Cluster::recompute_group`). Real failure detection (gossip and
+//!   phi-accrual over TCP) lives in `rndi-cluster`.
 //! * **State transfer** — snapshots to joiners and to partition losers.
 //! * **PRIMARY_PARTITION** ([`protocols::primary`]) — the protocol the
 //!   authors *added* to the JGroups stack: "after a transient network

@@ -58,9 +58,10 @@ grep -q 'instance="cluster"' <<<"$top_out"
 grep -q 'instance="shard-0"' <<<"$top_out"
 grep -q "cluster_top OK"     <<<"$top_out"
 
-echo "==> cluster smoke: membership props + chaos e2e + DirContext e2e + example"
+echo "==> cluster smoke: membership props + chaos e2e + seed sweep + DirContext e2e + example"
 cargo test -q -p rndi-cluster
 cargo test -q --test cluster_membership
+cargo test -q --test cluster_membership -- --ignored
 cargo test -q --test cluster_dircontext
 member_out="$(cargo run -q --example cluster_membership)"
 grep -q "rndi_cluster_members"   <<<"$member_out"

@@ -196,18 +196,11 @@ fn cluster_nodes_serve_the_full_dircontext() {
 #[test]
 fn minority_node_refuses_a_remote_bind_within_the_write_budget() {
     let _gate = exclusive();
-    let cluster = boot("dirctx-minority", &Environment::new());
-    let endpoints: Vec<String> = cluster
-        .nodes()
-        .iter()
-        .map(|n| n.endpoint().to_string())
-        .collect();
-    // Cut the seed off from the other two: every node has gossiped with
-    // it directly, so it soon reads both peers as gone.
-    cluster.node(0).block_endpoints(&endpoints[1..]);
-    for i in 1..3 {
-        cluster.node(i).block_endpoints(&endpoints[..1]);
-    }
+    let mut cluster = boot("dirctx-minority", &Environment::new());
+    // Cut the seed off by killing its two peers: every node has gossiped
+    // with it directly, so it soon reads both as gone.
+    cluster.take(2).kill();
+    cluster.take(1).kill();
     wait_for(Duration::from_secs(15), "node-0 loses its quorum", || {
         !cluster.node(0).writes_allowed()
     });
